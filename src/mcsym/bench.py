@@ -37,10 +37,13 @@ from .mcs import (
     evaluate_distributed,
     import_closure,
 )
-from .perm import Atom, Permutation, emit_cycles, group_closure
+from .perm import Atom, Permutation, perm_sort_key
 from .sbc import AtomOrder, default_order, extend_mcs, select_breaking_set
 
 TOPOLOGIES = ("diamond", "zigzag", "house", "ring")
+MODES = ("none", "full", "generators")
+# the sizes ``mcsym bench`` runs when no ``--n`` is given
+DEFAULT_SIZES = {"diamond": [4, 7], "zigzag": [4, 7], "house": [5, 9], "ring": [3, 6]}
 
 
 @dataclass(frozen=True)
@@ -226,6 +229,35 @@ class RunReport:
         }
 
 
+def select_breakers(
+    m: System, root: int, mode: str, budget: int | None = 8
+) -> tuple[list[Permutation], int]:
+    """The permutations to break from ``root``, and the detected group's order.
+
+    ``mode="none"`` breaks nothing; ``mode="full"`` breaks the entire set
+    ``dsd`` detects; ``mode="generators"`` detects per-context local
+    symmetries (pinning the export interface) and keeps an irredundant
+    generating subset truncated to ``budget``.  Local-mode sets move only
+    their own context's unexported atoms, so their supports are disjoint and
+    the group they generate is the direct product of the sets.
+    """
+    if mode == "none":
+        return [], 0
+    if mode == "full":
+        detected = dsd(m, root)
+        breakers = sorted((p for p in detected if not p.is_identity()), key=perm_sort_key)
+        return breakers, len(detected)
+    if mode == "generators":
+        pool: set[Permutation] = set()
+        group_size = 1
+        for i in sorted(import_closure(m, root)):
+            local = lsd(m, i, mode="local")
+            group_size *= len(local)
+            pool |= {p for p in local if not p.is_identity()}
+        return select_breaking_set(pool, budget=budget), group_size
+    raise ParseError(f"unknown pipeline mode {mode!r}")
+
+
 def run_pipeline(
     m: System,
     root: int,
@@ -241,30 +273,12 @@ def run_pipeline(
 ) -> RunReport:
     """Detect symmetries from ``root``, rewrite, and solve before/after.
 
-    ``mode="none"`` skips the rewrite (a baseline run); ``mode="full"`` breaks
-    with the entire detected set; ``mode="generators"`` detects per-context
-    local symmetries (pinning the export interface), keeps an irredundant
-    generating subset truncated to ``budget``, and breaks with those only.
+    ``mode`` chooses the breakers as :func:`select_breakers` does;
+    ``mode="none"`` is a baseline run that skips the rewrite.
     """
-    if mode not in ("none", "full", "generators"):
-        raise ParseError(f"unknown pipeline mode {mode!r}")
     order = order or default_order(m)
     t0 = time.perf_counter()
-    breakers: list[Permutation] = []
-    group_size = 0
-    if mode == "full":
-        detected = dsd(m, root)
-        group_size = len(detected)
-        breakers = sorted(
-            (p for p in detected if not p.is_identity()),
-            key=lambda p: (len(p.support), emit_cycles(p)),
-        )
-    elif mode == "generators":
-        pool: set[Permutation] = set()
-        for i in sorted(import_closure(m, root)):
-            pool |= {p for p in lsd(m, i, mode="local") if not p.is_identity()}
-        group_size = len(group_closure(pool)) if pool else 1
-        breakers = select_breaking_set(pool, budget=budget)
+    breakers, group_size = select_breakers(m, root, mode, budget)
     t_detect = time.perf_counter() - t0
 
     t0 = time.perf_counter()

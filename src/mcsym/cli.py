@@ -15,17 +15,11 @@ import sys
 import traceback
 
 from . import bench as bench_mod
-from .detect import build_gap, dsd, exported_atoms, lsd, run_detection_service
-from .errors import BoundExceeded, InternalError, McsymError, ParseError
-from .mcs import (
-    System,
-    enumerate_partial_equilibria,
-    evaluate_distributed,
-    import_closure,
-    load_system,
-)
-from .perm import Permutation, emit_cycles, group_closure
-from .sbc import default_order, extend_mcs, select_breaking_set
+from .detect import build_gap, dsd, exported_atoms, run_detection_service
+from .errors import BoundExceeded, McsymError, ParseError
+from .mcs import enumerate_partial_equilibria, evaluate_distributed, load_system
+from .perm import Permutation, emit_cycles, perm_sort_key
+from .sbc import default_order, extend_mcs
 from .autograph import emit_graph
 
 
@@ -39,22 +33,6 @@ def _write_out(text: str, path: str | None) -> None:
 
 def _cycles_line(p: Permutation) -> str:
     return emit_cycles(p) or "()"
-
-
-def _sorted_perms(perms) -> list[Permutation]:
-    return sorted(perms, key=lambda p: (len(p.support), emit_cycles(p)))
-
-
-def _breakers(m: System, root: int, mode: str, budget: int | None) -> list[Permutation]:
-    if mode == "full":
-        detected = dsd(m, root)
-        return _sorted_perms(p for p in detected if not p.is_identity())
-    if mode == "generators":
-        pool: set[Permutation] = set()
-        for i in sorted(import_closure(m, root)):
-            pool |= {p for p in lsd(m, i, mode="local") if not p.is_identity()}
-        return select_breaking_set(pool, budget=budget)
-    raise ParseError(f"unknown breaking mode {mode!r}")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -79,8 +57,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     m = load_system(args.file)
     if args.dump_gap:
         ctx = m.context(args.root)
-        gap = build_gap(ctx, len(m.contexts), args.mode if args.mode != "shared" else "shared",
-                        exported_atoms(m, args.root))
+        gap = build_gap(ctx, len(m.contexts), args.mode, exported_atoms(m, args.root))
         sys.stdout.write(emit_graph(gap.graph))
         return 0
     if args.service:
@@ -101,7 +78,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         perms = dsd(m, args.root, mode=args.mode)
         kind = "complete"
     print(f"PERMSET {len(perms)} {kind}")
-    for p in _sorted_perms(perms):
+    for p in sorted(perms, key=perm_sort_key):
         print(_cycles_line(p))
     return 0
 
@@ -109,7 +86,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_break(args: argparse.Namespace) -> int:
     m = load_system(args.file)
     order = default_order(m)
-    breakers = _breakers(m, args.root, args.mode, args.budget)
+    breakers, _ = bench_mod.select_breakers(m, args.root, args.mode, args.budget)
     extended = extend_mcs(m, breakers, order)
     from .asp import emit_rule
     from .mcs import emit_bridge_rule, emit_system
@@ -152,21 +129,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     reports = []
-    for n in args.n:
-        for seed in args.seeds:
-            spec = bench_mod.TopologySpec(topology=args.topology, n=n, seed=seed)
-            m = bench_mod.generate(spec)
-            reports.append(
-                bench_mod.run_pipeline(
-                    m,
-                    root=1,
-                    mode=args.mode,
-                    budget=args.budget,
-                    topology=args.topology,
-                    n=n,
-                    seed=seed,
-                )
-            )
+    for topology in args.topology:
+        for n in args.n or bench_mod.DEFAULT_SIZES[topology]:
+            for seed in args.seeds:
+                m = bench_mod.generate(bench_mod.TopologySpec(topology=topology, n=n, seed=seed))
+                for mode in args.mode:
+                    reports.append(
+                        bench_mod.run_pipeline(
+                            m, root=1, mode=mode, budget=args.budget,
+                            topology=topology, n=n, seed=seed,
+                        )
+                    )
     sys.stdout.write(bench_mod.report_table(reports, format=args.format))
     return 0
 
@@ -176,6 +149,18 @@ def _int_list(text: str) -> list[int]:
         return [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _choice_list(choices: tuple[str, ...]):
+    def parse(text: str) -> list[str]:
+        items = [x.strip() for x in text.split(",") if x.strip()]
+        if any(x not in choices for x in items):
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated values from {', '.join(choices)}, got {text!r}"
+            )
+        return items
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("file")
     d.add_argument("--root", type=int, required=True)
     d.add_argument("--mode", choices=("shared", "local"), default="shared")
-    d.add_argument("--service", action="store_true", help="run the threaded node service")
+    d.add_argument("--service", action="store_true", help="run the per-context node service")
     d.add_argument("--message-cap", type=int, default=4096)
     d.add_argument("--verbose", action="store_true")
     d.add_argument("--dump-gap", action="store_true", help="print the root's detection graph")
@@ -222,10 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_solve)
 
     be = sub.add_parser("bench", help="generate, break, and solve a grid of instances")
-    be.add_argument("--topology", required=True, choices=bench_mod.TOPOLOGIES)
-    be.add_argument("--n", type=_int_list, required=True, help="comma-separated sizes")
+    be.add_argument("--topology", type=_choice_list(bench_mod.TOPOLOGIES), required=True,
+                    help="comma-separated topologies")
+    be.add_argument("--n", type=_int_list, help="comma-separated sizes "
+                    "(default: a grid of valid sizes per topology)")
     be.add_argument("--seeds", type=_int_list, required=True, help="comma-separated seeds")
-    be.add_argument("--mode", choices=("none", "full", "generators"), default="full")
+    be.add_argument("--mode", type=_choice_list(bench_mod.MODES), default=["full"],
+                    help="comma-separated modes; each instance runs every one")
     be.add_argument("--budget", type=int, default=8)
     be.add_argument("--format", choices=("text", "csv", "json"), default="text")
     be.set_defaults(func=cmd_bench)

@@ -9,21 +9,22 @@ get distinct colours), edges from body literals to the body vertex, from the
 body vertex to each head atom, and one consistency edge from each atom's
 positive to its negative vertex.
 
-Distributed detection recursively joins the local sets along the import
-digraph, skipping contexts already visited on the current path; every context
-in the import closure contributes its local set at least once, and joins are
-associative and commutative, so revisits along diamonds are harmless.  The
-service variant runs each request in its own thread with a once-initialized
-per-context cache, the way separate reasoners would cooperate, and degrades
-to exchanging irredundant generators when an enumerated set would exceed the
-message cap.
+Distributed detection joins the local sets of the import closure.  The join
+of permutation sets is associative and commutative, and joining a context's
+set a second time changes nothing, so :func:`dsd` folds each reachable
+context's local set in once, in breadth-first order.  The service variant
+keeps the message protocol of separate reasoners: each request names the
+contexts already visited on its path and is forwarded to every unvisited
+import neighbour, each node computes its local set once, and a reply that
+would exceed the message cap degrades to irredundant generators, which the
+receiver closes back to the group before joining.  Requests are handled in
+the caller, one after another.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import InternalError
 from .autograph import Graph, automorphism_generators
@@ -164,24 +165,30 @@ def dsd(
     visited: frozenset[int] = frozenset(),
     *,
     mode: str = "shared",
-    cache: dict[int, frozenset[Permutation]] | None = None,
     cap: int = 10**6,
 ) -> frozenset[Permutation]:
     """Distributed symmetry detection from context ``k``.
 
-    Joins the local set of ``k`` with the recursive results of its unvisited
-    import neighbours; started with no visited contexts it returns all
-    partial symmetries with respect to the import closure of ``k``.
+    Joins the local sets of ``k`` and of every context it reaches along
+    import edges without entering ``visited``; started with no visited
+    contexts it returns all partial symmetries with respect to the import
+    closure of ``k``.
     """
-    if cache is None:
-        cache = {}
-    if k not in cache:
-        cache[k] = lsd(m, k, mode=mode, cap=cap)
-    acc = cache[k]
-    h = visited | {k}
-    for i in sorted(import_neighbourhood(m, k) - h):
-        acc = join_sets(acc, dsd(m, i, h, mode=mode, cache=cache, cap=cap))
+    acc = lsd(m, k, mode=mode, cap=cap)
+    for i in _reachable(m, k, visited)[1:]:
+        acc = join_sets(acc, lsd(m, i, mode=mode, cap=cap))
     return acc
+
+
+def _reachable(m: System, k: int, visited: frozenset[int]) -> list[int]:
+    """``k`` and the contexts it reaches outside ``visited``, breadth first."""
+    order = [k]
+    seen = set(visited) | {k}
+    for i in order:
+        nxt = sorted(import_neighbourhood(m, i) - seen)
+        seen.update(nxt)
+        order.extend(nxt)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -200,44 +207,16 @@ class PermSet:
     complete: bool = True
 
 
-class _Node:
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self.lock = threading.Lock()
-        self.cache: frozenset[Permutation] | None = None
-        self.requests = 0
-        self.cache_hits = 0
-
-
-class _Pending:
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.value: PermSet | None = None
-        self.error: BaseException | None = None
-
-    def resolve(self, value: PermSet) -> None:
-        self.value = value
-        self.event.set()
-
-    def fail(self, error: BaseException) -> None:
-        self.error = error
-        self.event.set()
-
-    def wait(self) -> PermSet:
-        self.event.wait()
-        if self.error is not None:
-            raise self.error
-        assert self.value is not None
-        return self.value
-
-
 class DetectionService:
-    """Per-context detection nodes with persistent once-initialized caches.
+    """Per-context detection nodes exchanging the paper's request messages.
 
-    A node's local set is computed at most once (under its lock) and reused
-    across requests; every incoming request is handled in its own thread, so
-    concurrent fan-out over diamond-shaped import graphs just works.  The
-    message log records the line-delimited wire form of each exchange.
+    A request ``DSD k H`` asks node ``k`` for its local set joined with the
+    replies of its neighbours outside ``H``; the node forwards ``DSD i H+k``
+    to each of them and answers with a ``PERMSET``.  Each node computes its
+    local set once and reuses it across requests.  A nontrivial reply larger
+    than ``message_cap`` degrades to an irredundant generating subset, which
+    the receiving node closes back to the group before joining.  The message log
+    records the line-delimited wire form of each exchange.
     """
 
     def __init__(
@@ -247,67 +226,38 @@ class DetectionService:
         self.mode = mode
         self.message_cap = message_cap
         self.cap = cap
-        self.nodes = {c.id: _Node(c.id) for c in m.contexts}
+        self.requests = {c.id: 0 for c in m.contexts}
+        self.cache_hits = {c.id: 0 for c in m.contexts}
         self.log: list[str] = []
-        self._log_lock = threading.Lock()
-
-    def _append_log(self, lines: list[str]) -> None:
-        with self._log_lock:
-            self.log.extend(lines)
+        self._local: dict[int, frozenset[Permutation]] = {}
 
     def request(self, k: int, visited: frozenset[int] = frozenset()) -> PermSet:
-        """Send one detection request and wait for the reply."""
-        return self._send(k, frozenset(visited)).wait()
+        """Send one detection request to node ``k`` and return its reply."""
+        return self._reply(k, frozenset(visited))
 
-    @property
-    def requests(self) -> dict[int, int]:
-        return {k: n.requests for k, n in self.nodes.items()}
-
-    @property
-    def cache_hits(self) -> dict[int, int]:
-        return {k: n.cache_hits for k, n in self.nodes.items()}
-
-    def _send(self, k: int, h: frozenset[int]) -> _Pending:
-        pending = _Pending()
-        t = threading.Thread(target=self._handle, args=(k, h, pending), daemon=True)
-        t.start()
-        return pending
-
-    def _handle(self, k: int, h: frozenset[int], pending: _Pending) -> None:
-        try:
-            self._append_log([f"DSD {k} H={','.join(map(str, sorted(h))) or '-'}"])
-            node = self.nodes[k]
-            with node.lock:
-                node.requests += 1
-                if node.cache is None:
-                    node.cache = lsd(self.m, k, mode=self.mode, cap=self.cap)
-                else:
-                    node.cache_hits += 1
-                local = node.cache
-            h2 = h | {k}
-            children = [
-                self._send(i, h2) for i in sorted(import_neighbourhood(self.m, k) - h2)
-            ]
-            perms = local
-            complete = True
-            for child in children:
-                payload = child.wait()
-                complete = complete and payload.complete
-                perms = join_sets(perms, payload.perms)
-            if len(perms) > self.message_cap:
-                # degrade: ship a generating subset instead of a wrong answer
-                gens = frozenset(reduce_irredundant(perms, cap=self.cap))
-                reply = PermSet(gens, complete=False)
-            else:
-                reply = PermSet(perms, complete=complete)
-            lines = [f"PERMSET {len(reply.perms)}"]
-            if not reply.complete:
-                lines[0] += " generators"
-            lines.extend(sorted(emit_cycles(p) or "()" for p in reply.perms))
-            self._append_log(lines)
-            pending.resolve(reply)
-        except BaseException as exc:  # surface in the waiting thread
-            pending.fail(exc)
+    def _reply(self, k: int, h: frozenset[int]) -> PermSet:
+        # neighbours are asked through here, so one outside request is one
+        # call of ``request``
+        self.log.append(f"DSD {k} H={','.join(map(str, sorted(h))) or '-'}")
+        self.requests[k] += 1
+        if k in self._local:
+            self.cache_hits[k] += 1
+        else:
+            self._local[k] = lsd(self.m, k, mode=self.mode, cap=self.cap)
+        perms = self._local[k]
+        h2 = h | {k}
+        for i in sorted(import_neighbourhood(self.m, k) - h2):
+            payload = self._reply(i, h2)
+            got = payload.perms if payload.complete else group_closure(payload.perms, cap=self.cap)
+            perms = join_sets(perms, got)
+        reply = PermSet(perms)
+        # the identity alone has no generators to carry its domain
+        if len(perms) > max(self.message_cap, 1):
+            reply = PermSet(frozenset(reduce_irredundant(perms, cap=self.cap)), complete=False)
+        lines = [f"PERMSET {len(reply.perms)}" + ("" if reply.complete else " generators")]
+        lines.extend(sorted(emit_cycles(p) or "()" for p in reply.perms))
+        self.log.extend(lines)
+        return reply
 
 
 def run_detection_service(

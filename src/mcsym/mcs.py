@@ -138,14 +138,8 @@ class System:
         return out
 
 
-MCS = System  # historical alias
-
-
 # ---------------------------------------------------------------------------
 # belief states
-
-
-EPS = None  # undefined component marker
 
 
 @dataclass(frozen=True)
@@ -556,16 +550,18 @@ def _scc_assignments(
 # symmetries
 
 
+def _preserves(c: Context, pi: Permutation) -> bool:
+    """Whether ``pi`` maps the context's alphabet, kb and br onto themselves."""
+    return (
+        frozenset(pi(a) for a in c.atoms) == c.atoms
+        and frozenset(r._apply_perm(pi) for r in c.kb) == frozenset(c.kb)
+        and frozenset(b._apply_perm(pi) for b in c.br) == frozenset(c.br)
+    )
+
+
 def is_symmetry(m: System, pi: Permutation) -> bool:
     """Whether ``pi`` preserves every context: alphabets, kb and br as sets."""
-    for c in m.contexts:
-        if frozenset(pi(a) for a in c.atoms) != c.atoms:
-            return False
-        if frozenset(r._apply_perm(pi) for r in c.kb) != frozenset(c.kb):
-            return False
-        if frozenset(b._apply_perm(pi) for b in c.br) != frozenset(c.br):
-            return False
-    return True
+    return all(_preserves(c, pi) for c in m.contexts)
 
 
 def is_local_symmetry(m: System, k: int, pi: Permutation) -> bool:
@@ -583,17 +579,7 @@ def is_partial_symmetry(m: System, pi: Permutation, contexts: Iterable[int]) -> 
     """
     cset = sorted(set(contexts))
     needed = m.universe(within=cset)
-    if not needed <= pi.domain:
-        return False
-    for i in cset:
-        c = m.context(i)
-        if frozenset(pi(a) for a in c.atoms) != c.atoms:
-            return False
-        if frozenset(r._apply_perm(pi) for r in c.kb) != frozenset(c.kb):
-            return False
-        if frozenset(b._apply_perm(pi) for b in c.br) != frozenset(c.br):
-            return False
-    return True
+    return needed <= pi.domain and all(_preserves(m.context(i), pi) for i in cset)
 
 
 def brute_force_partial_symmetries(

@@ -231,7 +231,8 @@ def group_closure(gens: Iterable[Permutation], cap: int = 10**6) -> frozenset[Pe
     return frozenset(group)
 
 
-def _gen_sort_key(p: Permutation) -> tuple[int, str]:
+def perm_sort_key(p: Permutation) -> tuple[int, str]:
+    """The canonical order of permutations: support size, then cycle notation."""
     return (len(p.support), emit_cycles(p))
 
 
@@ -250,13 +251,13 @@ def reduce_irredundant(gens: Iterable[Permutation], cap: int = 10**6) -> list[Pe
     changed = True
     while changed and len(pool) > 1:
         changed = False
-        for g in sorted(pool, key=_gen_sort_key, reverse=True):
+        for g in sorted(pool, key=perm_sort_key, reverse=True):
             rest = [h for h in pool if h != g]
             if group_closure(rest, cap=cap) == target:
                 pool = rest
                 changed = True
                 break
-    return sorted(pool, key=_gen_sort_key)
+    return sorted(pool, key=perm_sort_key)
 
 
 def emit_cycles(pi: Permutation) -> str:
@@ -324,8 +325,3 @@ def parse_cycles(text: str, domain: Iterable[Atom]) -> Permutation:
         for a, b in zip(atoms, atoms[1:] + atoms[:1]):
             mapping[a] = b
     return Permutation(mapping, domain=dom)
-
-
-def parse_permutation_line(text: str, domain: Iterable[Atom]) -> Permutation:
-    """Alias for :func:`parse_cycles`; one permutation per line on the wire."""
-    return parse_cycles(text, domain)

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 from .asp import Rule
 from .errors import InternalError
 from .mcs import BeliefState, BridgeRule, Context, System
-from .perm import Atom, Permutation, emit_cycles, orbit_of_states, reduce_irredundant
+from .perm import Atom, Permutation, orbit_of_states, perm_sort_key, reduce_irredundant
 
 
 @dataclass(frozen=True)
@@ -248,10 +248,7 @@ def extend_mcs(
     """
     if order is None:
         order = default_order(m)
-    todo = sorted(
-        {p for p in perms if not p.is_identity()},
-        key=lambda p: (len(p.support), emit_cycles(p)),
-    )
+    todo = sorted({p for p in perms if not p.is_identity()}, key=perm_sort_key)
     merged: dict[int, ContextAdditions] = {}
     for idx, pi in enumerate(todo):
         for cid, add in encode_asp(m, pi, order, f"p{idx}").items():

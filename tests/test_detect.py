@@ -128,14 +128,15 @@ class TestDsd:
         assert dsd(example1, 1, frozenset({2})) == lsd(example1, 1)
 
     def test_neighbour_order_independence(self):
+        # the path-recursive join, with neighbours taken in shuffled order
         rng = random.Random(99)
-        for _ in range(10):
-            m = random_system(rng, max_contexts=4, max_atoms=3)
+        for max_contexts, mode in [(4, "shared")] * 10 + [(5, "local")] * 10:
+            m = random_system(rng, max_contexts=max_contexts, max_atoms=3)
             root = rng.choice(m.ids)
-            expected = dsd(m, root)
+            expected = dsd(m, root, mode=mode)
 
             def ref(k, h, order):
-                acc = lsd(m, k)
+                acc = lsd(m, k, mode=mode)
                 h2 = h | {k}
                 kids = list(import_neighbourhood(m, k) - h2)
                 order.shuffle(kids)
@@ -190,6 +191,17 @@ class TestService:
         assert not got.complete
         assert len(got.perms) <= 2
         assert cyc(group_closure(got.perms)) == FOUR
+
+    def test_degraded_replies_generate_the_dsd_group(self):
+        rng = random.Random(2024)
+        for _ in range(40):
+            m = random_system(rng, max_contexts=4, max_atoms=3)
+            for k in m.ids:
+                want = dsd(m, k)
+                for message_cap in (0, 1, 2, 4):
+                    got = run_detection_service(m, message_cap=message_cap).request(k)
+                    perms = got.perms if got.complete else group_closure(got.perms)
+                    assert perms == want, (k, message_cap)
 
     def test_concurrent_roots_agree_with_dsd(self, example1):
         svc = run_detection_service(example1)
