@@ -14,11 +14,12 @@ of permutation sets is associative and commutative, and joining a context's
 set a second time changes nothing, so :func:`dsd` folds each reachable
 context's local set in once, in breadth-first order.  The service variant
 keeps the message protocol of separate reasoners: each request names the
-contexts already visited on its path and is forwarded to every unvisited
-import neighbour, each node computes its local set once, and a reply that
-would exceed the message cap degrades to irredundant generators, which the
-receiver closes back to the group before joining.  Requests are handled in
-the caller, one after another.
+contexts already asked within the same outside request and is forwarded to
+every import neighbour not yet asked, so each reachable context is asked
+once; each node computes its local set once, and a reply that would exceed
+the message cap degrades to irredundant generators, which the receiver
+closes back to the group before joining.  Requests are handled in the
+caller, one after another.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def graph_perm_to_partial_symmetry(
     return Permutation(mapping, domain=frozenset(domain) | frozenset(gap.atoms))
 
 
-def lsd(m: System, k: int, mode: str = "shared", cap: int = 10**6) -> frozenset[Permutation]:
+def lsd(m: System, k: int, mode: str = "shared") -> frozenset[Permutation]:
     """Local symmetry detection: the partial symmetries w.r.t. context ``k``.
 
     Returns the full enumerated set (identity included) over the universe of
@@ -146,26 +147,17 @@ def lsd(m: System, k: int, mode: str = "shared", cap: int = 10**6) -> frozenset[
     dom = m.universe(within=[k])
     exported = exported_atoms(m, k)
     gap = build_gap(ctx, len(m.contexts), mode, exported)
-    gens = [
-        graph_perm_to_partial_symmetry(gap, vp, dom) for vp in automorphism_generators(gap.graph)
-    ]
-    gens = [g for g in gens if not g.is_identity()]
+    gens = [graph_perm_to_partial_symmetry(gap, vp, dom) for vp in automorphism_generators(gap.graph)]
     free = sorted(ctx.atoms - frozenset(gap.atoms))
     if mode == "local":
         free = [a for a in free if a not in exported]
     gens.extend(Permutation({x: y, y: x}) for x, y in zip(free, free[1:]))
-    if not gens:
-        return frozenset({Permutation.identity(dom)})
-    return group_closure((g.extend(dom) for g in gens), cap=cap)
+    # the identity carries the domain when there is nothing to close
+    return group_closure([Permutation.identity(dom), *gens])
 
 
 def dsd(
-    m: System,
-    k: int,
-    visited: frozenset[int] = frozenset(),
-    *,
-    mode: str = "shared",
-    cap: int = 10**6,
+    m: System, k: int, visited: frozenset[int] = frozenset(), *, mode: str = "shared"
 ) -> frozenset[Permutation]:
     """Distributed symmetry detection from context ``k``.
 
@@ -174,9 +166,9 @@ def dsd(
     contexts it returns all partial symmetries with respect to the import
     closure of ``k``.
     """
-    acc = lsd(m, k, mode=mode, cap=cap)
+    acc = lsd(m, k, mode=mode)
     for i in _reachable(m, k, visited)[1:]:
-        acc = join_sets(acc, lsd(m, i, mode=mode, cap=cap))
+        acc = join_sets(acc, lsd(m, i, mode=mode))
     return acc
 
 
@@ -211,21 +203,21 @@ class DetectionService:
     """Per-context detection nodes exchanging the paper's request messages.
 
     A request ``DSD k H`` asks node ``k`` for its local set joined with the
-    replies of its neighbours outside ``H``; the node forwards ``DSD i H+k``
-    to each of them and answers with a ``PERMSET``.  Each node computes its
-    local set once and reuses it across requests.  A nontrivial reply larger
-    than ``message_cap`` degrades to an irredundant generating subset, which
-    the receiving node closes back to the group before joining.  The message log
-    records the line-delimited wire form of each exchange.
+    replies of its neighbours; ``H`` holds the contexts already asked within
+    the same outside request, starting from its ``visited`` set.  The node
+    forwards ``DSD i H`` to each neighbour ``i`` not yet in ``H`` and answers
+    with a ``PERMSET``, so one outside request asks every context it reaches
+    exactly once.  Each node computes its local set once and reuses it
+    across requests.  A nontrivial reply larger than ``message_cap``
+    degrades to an irredundant generating subset, which the receiving node
+    closes back to the group before joining.  The message log records the
+    line-delimited wire form of each exchange.
     """
 
-    def __init__(
-        self, m: System, mode: str = "shared", message_cap: int = 4096, cap: int = 10**6
-    ) -> None:
+    def __init__(self, m: System, mode: str = "shared", message_cap: int = 4096) -> None:
         self.m = m
         self.mode = mode
         self.message_cap = message_cap
-        self.cap = cap
         self.requests = {c.id: 0 for c in m.contexts}
         self.cache_hits = {c.id: 0 for c in m.contexts}
         self.log: list[str] = []
@@ -233,35 +225,34 @@ class DetectionService:
 
     def request(self, k: int, visited: frozenset[int] = frozenset()) -> PermSet:
         """Send one detection request to node ``k`` and return its reply."""
-        return self._reply(k, frozenset(visited))
+        return self._reply(k, set(visited))
 
-    def _reply(self, k: int, h: frozenset[int]) -> PermSet:
+    def _reply(self, k: int, asked: set[int]) -> PermSet:
         # neighbours are asked through here, so one outside request is one
         # call of ``request``
-        self.log.append(f"DSD {k} H={','.join(map(str, sorted(h))) or '-'}")
+        self.log.append(f"DSD {k} H={','.join(map(str, sorted(asked))) or '-'}")
+        asked.add(k)
         self.requests[k] += 1
         if k in self._local:
             self.cache_hits[k] += 1
         else:
-            self._local[k] = lsd(self.m, k, mode=self.mode, cap=self.cap)
+            self._local[k] = lsd(self.m, k, mode=self.mode)
         perms = self._local[k]
-        h2 = h | {k}
-        for i in sorted(import_neighbourhood(self.m, k) - h2):
-            payload = self._reply(i, h2)
-            got = payload.perms if payload.complete else group_closure(payload.perms, cap=self.cap)
-            perms = join_sets(perms, got)
+        for i in sorted(import_neighbourhood(self.m, k)):
+            if i not in asked:
+                payload = self._reply(i, asked)
+                got = payload.perms if payload.complete else group_closure(payload.perms)
+                perms = join_sets(perms, got)
         reply = PermSet(perms)
         # the identity alone has no generators to carry its domain
         if len(perms) > max(self.message_cap, 1):
-            reply = PermSet(frozenset(reduce_irredundant(perms, cap=self.cap)), complete=False)
+            reply = PermSet(frozenset(reduce_irredundant(perms)), complete=False)
         lines = [f"PERMSET {len(reply.perms)}" + ("" if reply.complete else " generators")]
         lines.extend(sorted(emit_cycles(p) or "()" for p in reply.perms))
         self.log.extend(lines)
         return reply
 
 
-def run_detection_service(
-    m: System, mode: str = "shared", message_cap: int = 4096, cap: int = 10**6
-) -> DetectionService:
+def run_detection_service(m: System, mode: str = "shared", message_cap: int = 4096) -> DetectionService:
     """Start the per-context detection nodes and return the service handle."""
-    return DetectionService(m, mode=mode, message_cap=message_cap, cap=cap)
+    return DetectionService(m, mode=mode, message_cap=message_cap)

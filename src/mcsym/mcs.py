@@ -76,12 +76,14 @@ class Context:
 @dataclass(frozen=True)
 class System:
     contexts: tuple[Context, ...]
+    _by_id: dict[int, Context] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = [c.id for c in self.contexts]
         if len(set(ids)) != len(ids):
             raise ParseError("duplicate context ids")
         object.__setattr__(self, "contexts", tuple(sorted(self.contexts, key=lambda c: c.id)))
+        object.__setattr__(self, "_by_id", {c.id: c for c in self.contexts})
         for c in self.contexts:
             names = [a.name for a in c.alphabet + c.aux]
             if len(set(names)) != len(names):
@@ -96,21 +98,15 @@ class System:
                 if b.head not in c.atoms:
                     raise ParseError(f"context {c.id}: bridge head {b.head.name!r} is not local")
                 for a in b.body_pos | b.body_neg:
-                    other = self._find(a.context_id)
+                    other = self._by_id.get(a.context_id)
                     if other is None or a not in other.atoms:
                         raise ParseError(
                             f"context {c.id}: bridge literal ({a.context_id}:{a.name}) "
                             "does not name a declared atom"
                         )
 
-    def _find(self, i: int) -> Context | None:
-        for c in self.contexts:
-            if c.id == i:
-                return c
-        return None
-
     def context(self, i: int) -> Context:
-        c = self._find(i)
+        c = self._by_id.get(i)
         if c is None:
             raise InternalError(f"no context with id {i}")
         return c
@@ -162,9 +158,6 @@ class BeliefState:
                 return v
         raise InternalError(f"belief state has no component for context {i}")
 
-    def as_dict(self) -> dict[int, frozenset[Atom] | None]:
-        return dict(self.components)
-
     def defined_ids(self) -> frozenset[int]:
         return frozenset(i for i, v in self.components if v is not None)
 
@@ -198,7 +191,7 @@ class BeliefState:
 
 def import_neighbourhood(m: System, k: int) -> frozenset[int]:
     """In(k): the contexts whose belief sets C_k's bridge rules query."""
-    return frozenset().union(*(b.referenced_contexts() for b in m.context(k).br)) if m.context(k).br else frozenset()
+    return frozenset().union(*(b.referenced_contexts() for b in m.context(k).br))
 
 
 def import_closure(m: System, k: int) -> frozenset[int]:

@@ -18,8 +18,9 @@ defined ones.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import BoundExceeded, InternalError, ParseError
 
@@ -178,20 +179,11 @@ def orbit(perms: Iterable[Permutation] | Permutation, atom: Atom) -> frozenset[A
     gens = [perms] if isinstance(perms, Permutation) else list(perms)
     if gens and not any(atom in g.domain for g in gens):
         raise InternalError(f"{atom.qualified()} is outside the permutation domain")
-    seen = {atom}
-    frontier = [atom]
-    while frontier:
-        a = frontier.pop()
-        for g in gens:
-            b = g(a)
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return frozenset(seen)
+    return orbit_of_states(gens, atom)
 
 
 def orbit_of_states(perms: Iterable[Permutation] | Permutation, state) -> frozenset:
-    """The orbit of a hashable compound value (e.g. a belief state)."""
+    """The orbit of an atom or a hashable compound value (e.g. a belief state)."""
     gens = [perms] if isinstance(perms, Permutation) else list(perms)
     seen = {state}
     frontier = [state]
@@ -208,26 +200,30 @@ def orbit_of_states(perms: Iterable[Permutation] | Permutation, state) -> frozen
 def group_closure(gens: Iterable[Permutation], cap: int = 10**6) -> frozenset[Permutation]:
     """Close a generator set under composition (domains united first).
 
-    Raises :class:`BoundExceeded` when the closure would exceed ``cap``
-    elements.
+    Dimino's method: a generator new to the group built so far extends it
+    by whole cosets of that group, one per new representative, so each
+    element is composed once rather than once per generator.  Raises
+    :class:`BoundExceeded` when the closure would exceed ``cap`` elements.
     """
     gens = list(gens)
-    dom: frozenset[Atom] = frozenset()
-    for g in gens:
-        dom |= g.domain
-    aligned = [g.extend(dom) for g in gens]
+    dom = frozenset().union(*(g.domain for g in gens))
     ident = Permutation.identity(dom)
     group = {ident}
-    frontier = [ident]
-    while frontier:
-        p = frontier.pop()
-        for g in aligned:
-            q = compose(p, g)
-            if q not in group:
-                if len(group) >= cap:
-                    raise BoundExceeded(f"group closure exceeds cap of {cap}")
-                group.add(q)
-                frontier.append(q)
+    used: list[Permutation] = []
+    for g in (g.extend(dom) for g in gens):
+        if g in group:
+            continue
+        sub = list(group)
+        used.append(g)
+        reps = [ident]
+        for r in reps:
+            for s in used:
+                x = compose(r, s)
+                if x not in group:
+                    if len(group) + len(sub) > cap:
+                        raise BoundExceeded(f"group closure exceeds cap of {cap}")
+                    group.update(compose(h, x) for h in sub)
+                    reps.append(x)
     return frozenset(group)
 
 
@@ -240,24 +236,51 @@ def reduce_irredundant(gens: Iterable[Permutation], cap: int = 10**6) -> list[Pe
     """A subset of ``gens`` generating the same group, from which no single
     generator can be dropped.
 
-    Greedy: repeatedly drop one generator whose removal preserves the closure,
-    preferring to drop large-support generators.  The result is sorted by
-    ascending support size (ties by cycle notation).
+    One pass, largest support first, drops a generator when the others left
+    cover its domain and generate it; one that cannot be dropped stays so
+    after later drops.  Membership is tested within the generator's support
+    block (the pool members whose supports chain to its own): other blocks
+    move disjoint atoms.  ``cap`` bounds the group of one block.  The result
+    is sorted by ascending support size (ties by cycle notation).
     """
-    pool = [g for g in dict.fromkeys(gens) if not g.is_identity()]
-    if not pool:
-        return []
-    target = group_closure(pool, cap=cap)
-    changed = True
-    while changed and len(pool) > 1:
-        changed = False
-        for g in sorted(pool, key=perm_sort_key, reverse=True):
-            rest = [h for h in pool if h != g]
-            if group_closure(rest, cap=cap) == target:
-                pool = rest
-                changed = True
-                break
-    return sorted(pool, key=perm_sort_key)
+    order = sorted((g for g in dict.fromkeys(gens) if not g.is_identity()), key=perm_sort_key, reverse=True)
+    cover = Counter(a for g in order for a in g.domain)
+    # per generator: its block's kept members, itself restricted to the
+    # block's atoms, and a generating subset (at most log2 |G| members) of
+    # the block's later members with their group
+    state = {}
+    rest = order
+    while rest:
+        block = _chained(rest[0], rest)
+        atoms = frozenset().union(*(g.support for g in block))
+        rest = [g for g in rest if g.support.isdisjoint(atoms)]
+        kept, later, group = [], [], frozenset()
+        for g in reversed(block):
+            narrow = Permutation({a: g(a) for a in g.support}, domain=atoms)
+            state[g] = (kept, narrow, later, group)
+            if narrow not in group:
+                later = later + [narrow]
+                group = group_closure(later, cap=cap)
+    out = []
+    for g in order:
+        kept, narrow, later, group = state[g]
+        if all(cover[a] > 1 for a in g.domain) and (
+            narrow in group or narrow in group_closure(_chained(narrow, kept + later), cap=cap)
+        ):
+            cover.subtract(g.domain)
+        else:
+            kept.append(narrow)
+            out.append(g)
+    return sorted(out, key=perm_sort_key)
+
+
+def _chained(g: Permutation, perms: list[Permutation]) -> list[Permutation]:
+    """The members of ``perms`` whose supports chain to that of ``g``, in order."""
+    reach, left = g.support, perms
+    while hit := [h for h in left if not h.support.isdisjoint(reach)]:
+        left = [h for h in left if h.support.isdisjoint(reach)]
+        reach = reach.union(*(h.support for h in hit))
+    return [h for h in perms if not h.support.isdisjoint(reach)]
 
 
 def emit_cycles(pi: Permutation) -> str:

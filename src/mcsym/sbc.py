@@ -23,7 +23,7 @@ bijection onto the surviving original states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 from .asp import Rule
 from .errors import InternalError
@@ -47,9 +47,6 @@ class AtomOrder:
             return self._index[a]  # type: ignore[attr-defined]
         except KeyError:
             raise InternalError(f"atom {a.qualified()} is not ordered") from None
-
-    def __contains__(self, a: Atom) -> bool:
-        return a in self._index  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -310,11 +307,6 @@ def lex_leader_filter(
     return frozenset(out)
 
 
-def select_breaking_set(
-    perms: Iterable[Permutation], budget: int | None = None, cap: int = 10**6
-) -> list[Permutation]:
+def select_breaking_set(perms: Iterable[Permutation], budget: int | None = None) -> list[Permutation]:
     """An irredundant generating subset, truncated to ``budget`` by support size."""
-    gens = reduce_irredundant(perms, cap=cap)
-    if budget is not None:
-        gens = gens[:budget]
-    return gens
+    return reduce_irredundant(perms)[:budget]

@@ -12,9 +12,11 @@ from mcsym import (
     Context,
     Permutation,
     System,
+    TopologySpec,
     brute_force_partial_symmetries,
     build_gap,
     dsd,
+    generate,
     graph_perm_to_partial_symmetry,
     group_closure,
     import_closure,
@@ -193,15 +195,21 @@ class TestService:
         assert cyc(group_closure(got.perms)) == FOUR
 
     def test_degraded_replies_generate_the_dsd_group(self):
+        # one outside request asks each context it reaches exactly once
         rng = random.Random(2024)
+        cases = []
         for _ in range(40):
             m = random_system(rng, max_contexts=4, max_atoms=3)
-            for k in m.ids:
-                want = dsd(m, k)
-                for message_cap in (0, 1, 2, 4):
-                    got = run_detection_service(m, message_cap=message_cap).request(k)
-                    perms = got.perms if got.complete else group_closure(got.perms)
-                    assert perms == want, (k, message_cap)
+            cases.extend((m, k) for k in m.ids)
+        cases.append((generate(TopologySpec("diamond", 10, 0)), 1))
+        for m, k in cases:
+            want = dsd(m, k)
+            for message_cap in (0, 1, 2, 4):
+                svc = run_detection_service(m, message_cap=message_cap)
+                got = svc.request(k)
+                perms = got.perms if got.complete else group_closure(got.perms)
+                assert perms == want, (k, message_cap)
+                assert sum(svc.requests.values()) == len(import_closure(m, k)), (k, message_cap)
 
     def test_concurrent_roots_agree_with_dsd(self, example1):
         svc = run_detection_service(example1)

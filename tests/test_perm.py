@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsym import (
     Atom,
     BeliefState,
+    BoundExceeded,
     BridgeRule,
     ParseError,
     Permutation,
@@ -26,6 +27,7 @@ from mcsym import (
     parse_cycles,
     reduce_irredundant,
 )
+from mcsym.perm import perm_sort_key
 
 from helpers import cyc
 
@@ -200,6 +202,13 @@ class TestClosureAndGenerators:
     def test_reduce_empty(self):
         assert reduce_irredundant([]) == []
 
+    def test_reduce_product_beyond_cap(self):
+        # 12 disjoint swaps generate 4096 elements, but each swap is a block
+        # of its own, so no closure exceeds 2 elements
+        atoms = [Atom(1, f"p{i}") for i in range(24)]
+        swaps = [perm({x: y, y: x}, atoms) for x, y in zip(atoms[::2], atoms[1::2])]
+        assert reduce_irredundant(swaps, cap=1000) == sorted(swaps, key=perm_sort_key)
+
 
 # ---------------------------------------------------------------------------
 # properties
@@ -275,3 +284,88 @@ def test_reduce_irredundant_properties(gens):
 def test_cycle_round_trip(p):
     text = emit_cycles(p)
     assert parse_cycles(text, frozenset(ATOMS)) == p
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: breadth-first closure and the greedy reduction
+# that restarts after every drop
+
+
+def reference_group_closure(gens, cap=10**6):
+    gens = list(gens)
+    dom = frozenset()
+    for g in gens:
+        dom |= g.domain
+    aligned = [g.extend(dom) for g in gens]
+    ident = Permutation.identity(dom)
+    group = {ident}
+    frontier = [ident]
+    while frontier:
+        p = frontier.pop()
+        for g in aligned:
+            q = compose(p, g)
+            if q not in group:
+                if len(group) >= cap:
+                    raise BoundExceeded(f"group closure exceeds cap of {cap}")
+                group.add(q)
+                frontier.append(q)
+    return frozenset(group)
+
+
+def reference_reduce_irredundant(gens, cap=10**6):
+    pool = [g for g in dict.fromkeys(gens) if not g.is_identity()]
+    if not pool:
+        return []
+    target = reference_group_closure(pool, cap=cap)
+    changed = True
+    while changed and len(pool) > 1:
+        changed = False
+        for g in sorted(pool, key=perm_sort_key, reverse=True):
+            rest = [h for h in pool if h != g]
+            if reference_group_closure(rest, cap=cap) == target:
+                pool = rest
+                changed = True
+                break
+    return sorted(pool, key=perm_sort_key)
+
+
+TWO_CONTEXTS = tuple(Atom(1, n) for n in "uvw") + tuple(Atom(2, n) for n in "xyz")
+
+
+@st.composite
+def sub_perm_lists(draw):
+    """Permutations that each draw their own sub-domain of two contexts'
+    atoms; a member may repeat the moves of an earlier one."""
+    out = []
+    for _ in range(draw(st.integers(0, 5))):
+        if out and draw(st.booleans()):
+            p = draw(st.sampled_from(out))
+            moves = {x: p(x) for x in p.support}
+        else:
+            moved = draw(st.lists(st.sampled_from(TWO_CONTEXTS), unique=True, max_size=3))
+            moves = dict(zip(moved, draw(st.permutations(moved))))
+        extra = draw(st.lists(st.sampled_from(TWO_CONTEXTS), unique=True))
+        out.append(Permutation(moves, domain=frozenset(moves) | frozenset(extra)))
+    return out
+
+
+@settings(max_examples=200)
+@given(sub_perm_lists(), st.sampled_from([6, 24, 10**5]))
+def test_group_closure_matches_reference(gens, cap):
+    try:
+        want = reference_group_closure(gens, cap=cap)
+    except BoundExceeded:
+        with pytest.raises(BoundExceeded):
+            group_closure(gens, cap=cap)
+        return
+    assert group_closure(gens, cap=cap) == want
+
+
+@settings(max_examples=200)
+@given(sub_perm_lists(), st.sampled_from([24, 10**5]))
+def test_reduce_irredundant_matches_reference(gens, cap):
+    try:
+        want = reference_reduce_irredundant(gens, cap=cap)
+    except BoundExceeded:
+        return
+    assert reduce_irredundant(gens, cap=cap) == want
