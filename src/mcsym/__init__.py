@@ -44,7 +44,6 @@ from .mcs import (
     enumerate_partial_equilibria,
     evaluate_distributed,
     import_closure,
-    import_neighbourhood,
     is_equilibrium,
     is_local_symmetry,
     is_partial_equilibrium,
@@ -61,7 +60,6 @@ from .detect import (
     dsd,
     graph_perm_to_partial_symmetry,
     lsd,
-    run_detection_service,
 )
 from .sbc import (
     AtomOrder,

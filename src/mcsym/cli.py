@@ -15,7 +15,7 @@ import sys
 import traceback
 
 from . import bench as bench_mod
-from .detect import build_gap, dsd, exported_atoms, run_detection_service
+from .detect import DetectionService, build_gap, dsd, exported_atoms
 from .errors import BoundExceeded, McsymError, ParseError
 from .mcs import enumerate_partial_equilibria, evaluate_distributed, load_system
 from .perm import Permutation, emit_cycles, perm_sort_key
@@ -61,7 +61,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         sys.stdout.write(emit_graph(gap.graph))
         return 0
     if args.service:
-        service = run_detection_service(m, mode=args.mode, message_cap=args.message_cap)
+        service = DetectionService(m, mode=args.mode, message_cap=args.message_cap)
         result = service.request(args.root)
         perms = result.perms
         kind = "complete" if result.complete else "generators"

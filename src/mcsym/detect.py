@@ -19,17 +19,19 @@ every import neighbour not yet asked, so each reachable context is asked
 once; each node computes its local set once, and a reply that would exceed
 the message cap degrades to irredundant generators, which the receiver
 closes back to the group before joining.  Requests are handled in the
-caller, one after another.
+caller, one after another, and the message log keeps the newest
+:data:`LOG_LINES` lines.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InternalError
 from .autograph import Graph, automorphism_generators
-from .mcs import Context, System, import_neighbourhood
+from .mcs import Context, System
 from .perm import (
     Atom,
     Permutation,
@@ -177,7 +179,7 @@ def _reachable(m: System, k: int, visited: frozenset[int]) -> list[int]:
     order = [k]
     seen = set(visited) | {k}
     for i in order:
-        nxt = sorted(import_neighbourhood(m, i) - seen)
+        nxt = sorted(m.context(i).imports - seen)
         seen.update(nxt)
         order.extend(nxt)
     return order
@@ -185,6 +187,9 @@ def _reachable(m: System, k: int, visited: frozenset[int]) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # detection service
+
+# Lines of the service's message log kept in memory; older lines are dropped.
+LOG_LINES = 10_000
 
 
 @dataclass(frozen=True)
@@ -211,7 +216,8 @@ class DetectionService:
     across requests.  A nontrivial reply larger than ``message_cap``
     degrades to an irredundant generating subset, which the receiving node
     closes back to the group before joining.  The message log records the
-    line-delimited wire form of each exchange.
+    line-delimited wire form of each exchange, keeping the newest
+    :data:`LOG_LINES` lines.
     """
 
     def __init__(self, m: System, mode: str = "shared", message_cap: int = 4096) -> None:
@@ -220,7 +226,7 @@ class DetectionService:
         self.message_cap = message_cap
         self.requests = {c.id: 0 for c in m.contexts}
         self.cache_hits = {c.id: 0 for c in m.contexts}
-        self.log: list[str] = []
+        self.log: deque[str] = deque(maxlen=LOG_LINES)
         self._local: dict[int, frozenset[Permutation]] = {}
 
     def request(self, k: int, visited: frozenset[int] = frozenset()) -> PermSet:
@@ -238,7 +244,7 @@ class DetectionService:
         else:
             self._local[k] = lsd(self.m, k, mode=self.mode)
         perms = self._local[k]
-        for i in sorted(import_neighbourhood(self.m, k)):
+        for i in sorted(self.m.context(k).imports):
             if i not in asked:
                 payload = self._reply(i, asked)
                 got = payload.perms if payload.complete else group_closure(payload.perms)
@@ -251,8 +257,3 @@ class DetectionService:
         lines.extend(sorted(emit_cycles(p) or "()" for p in reply.perms))
         self.log.extend(lines)
         return reply
-
-
-def run_detection_service(m: System, mode: str = "shared", message_cap: int = 4096) -> DetectionService:
-    """Start the per-context detection nodes and return the service handle."""
-    return DetectionService(m, mode=mode, message_cap=message_cap)

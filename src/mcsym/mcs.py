@@ -11,12 +11,18 @@ auxiliary alphabet extension (used by the symmetry-breaking rewrite); the
 acceptability check then splits the knowledge base at the auxiliary boundary:
 the original part must be an answer set as before, and the auxiliary part is
 a deterministic, acyclic completion on top of it.
+
+What the solver derives from a context is computed once, when first used, and
+kept on the context: its original alphabet as a set, its atoms with the
+auxiliary extension, the split knowledge base and its import neighbourhood.
+Validating a system derives nothing that is kept.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -39,9 +45,6 @@ class BridgeRule:
     def atoms(self) -> frozenset[Atom]:
         return frozenset({self.head}) | self.body_pos | self.body_neg
 
-    def referenced_contexts(self) -> frozenset[int]:
-        return frozenset(a.context_id for a in self.body_pos | self.body_neg)
-
     def _apply_perm(self, pi: Permutation) -> "BridgeRule":
         return BridgeRule(
             pi(self.head),
@@ -58,10 +61,36 @@ class Context:
     br: tuple[BridgeRule, ...]
     aux: tuple[Atom, ...] = ()
 
-    @property
+    @cached_property
+    def original(self) -> frozenset[Atom]:
+        """The original alphabet, without the auxiliary extension."""
+        return frozenset(self.alphabet)
+
+    @cached_property
     def atoms(self) -> frozenset[Atom]:
         """Original alphabet plus the auxiliary extension."""
-        return frozenset(self.alphabet) | frozenset(self.aux)
+        return frozenset(self.alphabet + self.aux)
+
+    @cached_property
+    def split_kb(self) -> tuple[tuple[Rule, ...], tuple[Rule, ...]]:
+        """The kb split into (original-only rules, auxiliary rules and constraints)."""
+        bottom: list[Rule] = []
+        auxpart: list[Rule] = []
+        for r in self.kb:
+            if r.atoms() <= self.original:
+                bottom.append(r)
+            elif r.head.isdisjoint(self.original):
+                auxpart.append(r)
+            else:
+                raise InternalError(
+                    f"context {self.id}: rule mixes original head with auxiliary atoms"
+                )
+        return tuple(bottom), tuple(auxpart)
+
+    @cached_property
+    def imports(self) -> frozenset[int]:
+        """In(k): the contexts whose belief sets the bridge rules query."""
+        return frozenset(a.context_id for b in self.br for a in b.body_pos | b.body_neg)
 
     def occurring(self) -> frozenset[Atom]:
         """Atoms mentioned anywhere in this context's rules (foreign included)."""
@@ -84,22 +113,24 @@ class System:
             raise ParseError("duplicate context ids")
         object.__setattr__(self, "contexts", tuple(sorted(self.contexts, key=lambda c: c.id)))
         object.__setattr__(self, "_by_id", {c.id: c for c in self.contexts})
+        # plain locals: validation keeps nothing on the contexts
+        declared = {c.id: frozenset(c.alphabet + c.aux) for c in self.contexts}
         for c in self.contexts:
             names = [a.name for a in c.alphabet + c.aux]
             if len(set(names)) != len(names):
                 raise ParseError(f"context {c.id}: duplicate atom names")
+            atoms = declared[c.id]
             for a in c.alphabet + c.aux:
                 if a.context_id != c.id:
                     raise InternalError(f"context {c.id} declares an atom of context {a.context_id}")
             for r in c.kb:
-                if not r.atoms() <= c.atoms:
+                if not r.atoms() <= atoms:
                     raise ParseError(f"context {c.id}: kb rule uses undeclared atoms")
             for b in c.br:
-                if b.head not in c.atoms:
+                if b.head not in atoms:
                     raise ParseError(f"context {c.id}: bridge head {b.head.name!r} is not local")
                 for a in b.body_pos | b.body_neg:
-                    other = self._by_id.get(a.context_id)
-                    if other is None or a not in other.atoms:
+                    if a not in declared.get(a.context_id, ()):
                         raise ParseError(
                             f"context {c.id}: bridge literal ({a.context_id}:{a.name}) "
                             "does not name a declared atom"
@@ -189,11 +220,6 @@ class BeliefState:
 # import topology
 
 
-def import_neighbourhood(m: System, k: int) -> frozenset[int]:
-    """In(k): the contexts whose belief sets C_k's bridge rules query."""
-    return frozenset().union(*(b.referenced_contexts() for b in m.context(k).br))
-
-
 def import_closure(m: System, k: int) -> frozenset[int]:
     """IC(k): least set containing k and closed under import neighbourhoods."""
     closed: set[int] = set()
@@ -203,7 +229,7 @@ def import_closure(m: System, k: int) -> frozenset[int]:
         if i in closed:
             continue
         closed.add(i)
-        frontier.extend(import_neighbourhood(m, i) - closed)
+        frontier.extend(m.context(i).imports - closed)
     return frozenset(closed)
 
 
@@ -243,38 +269,31 @@ def applicable(ctx: Context, state: BeliefState) -> frozenset[Atom]:
     return frozenset(heads)
 
 
-def _split_kb(ctx: Context) -> tuple[list[Rule], list[Rule]]:
-    """Split kb into (original-only rules, auxiliary rules/constraints)."""
-    orig = frozenset(ctx.alphabet)
-    bottom: list[Rule] = []
-    auxpart: list[Rule] = []
-    for r in ctx.kb:
-        if r.atoms() <= orig:
-            bottom.append(r)
-        elif r.is_constraint() or r.head <= frozenset(ctx.aux):
-            auxpart.append(r)
-        else:
-            raise InternalError(
-                f"context {ctx.id}: rule mixes original head with auxiliary atoms"
-            )
-    return bottom, auxpart
+def _facts(atoms: Iterable[Atom]) -> list[Rule]:
+    return [Rule(frozenset({a}), frozenset(), frozenset()) for a in atoms]
+
+
+def _extend_aux(
+    ctx: Context, x: frozenset[Atom], heads: frozenset[Atom]
+) -> tuple[frozenset[Atom], tuple[Rule, ...]]:
+    """Complete the original belief set ``x`` by the context's auxiliary part.
+
+    Returns the extended set and the violated auxiliary constraints.  Bridge
+    heads are local atoms, so those outside the original alphabet are aux.
+    """
+    return extend_stratified(x, [*ctx.split_kb[1], *_facts(heads - ctx.original)])
 
 
 def _acceptable(ctx: Context, s_i: frozenset[Atom], heads: frozenset[Atom]) -> bool:
     """Whether ``s_i`` is an acceptable belief set of ``ctx`` under bridge input ``heads``."""
-    orig = frozenset(ctx.alphabet)
-    auxset = frozenset(ctx.aux)
     if not s_i <= ctx.atoms:
         return False
-    bottom, auxpart = _split_kb(ctx)
-    bottom_prog = bottom + [Rule(frozenset({h}), frozenset(), frozenset()) for h in heads & orig]
-    x = frozenset(s_i & orig)
-    if not is_answer_set(bottom_prog, x):
+    x = s_i & ctx.original
+    if not is_answer_set([*ctx.split_kb[0], *_facts(heads & ctx.original)], x):
         return False
-    if not auxset and not auxpart:
+    if not ctx.aux:
         return s_i == x
-    aux_prog = auxpart + [Rule(frozenset({h}), frozenset(), frozenset()) for h in heads & auxset]
-    ext, violated = extend_stratified(x, aux_prog)
+    ext, violated = _extend_aux(ctx, x, heads)
     return not violated and s_i == ext
 
 
@@ -311,17 +330,18 @@ def is_partial_equilibrium(m: System, state: BeliefState, k: int) -> bool:
 # enumeration (reference oracle)
 
 
-def _candidate_atoms(ctx: Context) -> list[Atom]:
-    """Atoms of ``ctx`` that any rule could make true: its occurring originals."""
-    occ = ctx.occurring()
-    return sorted(a for a in occ if a in frozenset(ctx.alphabet))
+def _candidate_atoms(ctx: Context, bound: int) -> list[Atom]:
+    """Atoms of ``ctx`` that any rule could make true: its occurring originals.
+
+    Raises :class:`BoundExceeded` if there are more than ``bound``.
+    """
+    cand = sorted(ctx.occurring() & ctx.original)
+    if len(cand) > bound:
+        raise BoundExceeded(f"context {ctx.id} has {len(cand)} candidate atoms (bound {bound})")
+    return cand
 
 
-def _has_aux(m: System, ids: Iterable[int]) -> bool:
-    return any(m.context(i).aux for i in ids)
-
-
-def _complete_aux(m: System, assignment: dict[int, frozenset[Atom]], ids: frozenset[int]) -> dict[int, frozenset[Atom]] | None:
+def _complete_aux(m: System, assignment: dict[int, frozenset[Atom]], ids: frozenset[int]) -> dict[int, frozenset[Atom]]:
     """Deterministically extend original-atom components by auxiliary atoms.
 
     Auxiliary rules are acyclic across the system, so iterating the per-context
@@ -331,21 +351,14 @@ def _complete_aux(m: System, assignment: dict[int, frozenset[Atom]], ids: frozen
     total_aux = sum(len(m.context(i).aux) for i in ids)
     if total_aux == 0:
         return current
-    view_ids = set(current)
     for _ in range(total_aux + 2):
         changed = False
         state = BeliefState.make(current)
         for i in ids:
             ctx = m.context(i)
-            if not ctx.aux and not any(not (r.atoms() <= frozenset(ctx.alphabet)) for r in ctx.kb):
+            if not ctx.aux:
                 continue
-            heads = applicable(ctx, state)
-            _, auxpart = _split_kb(ctx)
-            orig_part = current[i] & frozenset(ctx.alphabet)
-            aux_prog = auxpart + [
-                Rule(frozenset({h}), frozenset(), frozenset()) for h in heads & frozenset(ctx.aux)
-            ]
-            ext, _ = extend_stratified(orig_part, aux_prog)
+            ext, _ = _extend_aux(ctx, current[i] & ctx.original, applicable(ctx, state))
             if ext != current[i]:
                 current[i] = ext
                 changed = True
@@ -367,9 +380,7 @@ def enumerate_partial_equilibria(
     ids = sorted(import_closure(m, k)) if k is not None else list(m.ids)
     pools: list[list[frozenset[Atom]]] = []
     for i in ids:
-        cand = _candidate_atoms(m.context(i))
-        if len(cand) > bound:
-            raise BoundExceeded(f"context {i} has {len(cand)} candidate atoms (bound {bound})")
+        cand = _candidate_atoms(m.context(i), bound)
         pools.append([frozenset(sub) for r in range(len(cand) + 1) for sub in combinations(cand, r)])
     out = []
     eps_ids = [i for i in m.ids if i not in ids]
@@ -406,7 +417,7 @@ def _sccs(m: System, ids: frozenset[int]) -> list[list[int]]:
         counter[0] += 1
         stack.append(v)
         on_stack.add(v)
-        for w in sorted(import_neighbourhood(m, v) & ids):
+        for w in sorted(m.context(v).imports & ids):
             if w not in index:
                 strong(w)
                 low[v] = min(low[v], low[w])
@@ -434,17 +445,13 @@ def _local_candidates(ctx: Context, bound: int) -> list[frozenset[Atom]]:
     Union of the answer sets of kb plus any subset of the bridge heads.
     Candidates cover original atoms only; auxiliary completion happens later.
     """
-    orig = frozenset(ctx.alphabet)
-    bottom, _ = _split_kb(ctx)
-    heads = sorted({b.head for b in ctx.br if b.head in orig})
-    occ = _candidate_atoms(ctx)
-    if len(occ) > bound:
-        raise BoundExceeded(f"context {ctx.id} has {len(occ)} candidate atoms (bound {bound})")
+    bottom, _ = ctx.split_kb
+    heads = sorted({b.head for b in ctx.br} & ctx.original)
+    _candidate_atoms(ctx, bound)  # raises past the bound
     pool: set[frozenset[Atom]] = set()
     for r in range(len(heads) + 1):
         for hs in combinations(heads, r):
-            prog = list(bottom) + [Rule(frozenset({h}), frozenset(), frozenset()) for h in hs]
-            pool |= asp.answer_sets(prog, bound=bound)
+            pool |= asp.answer_sets([*bottom, *_facts(hs)], bound=bound)
     return sorted(pool, key=lambda s: tuple(sorted(a.name for a in s)))
 
 
@@ -463,11 +470,11 @@ def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[Belief
         for v in comp:
             scc_of[v] = idx
     results: list[list[dict[int, frozenset[Atom]]]] = []
-    has_aux = _has_aux(m, ic)
+    has_aux = any(m.context(i).aux for i in ic)
 
     for idx, comp in enumerate(sccs):
         children = sorted(
-            {scc_of[w] for v in comp for w in import_neighbourhood(m, v) & ic if scc_of[w] != idx}
+            {scc_of[w] for v in comp for w in m.context(v).imports & ic if scc_of[w] != idx}
         )
         merged: list[dict[int, frozenset[Atom]]] = [{}]
         for ch in children:
@@ -509,7 +516,7 @@ def _scc_assignments(
     # are assigned; record at which search depth that happens
     checks_at: dict[int, list[int]] = {}
     for j in comp:
-        deps = [comp_pos[w] for w in import_neighbourhood(m, j) if w in comp_pos]
+        deps = [comp_pos[w] for w in m.context(j).imports if w in comp_pos]
         checks_at.setdefault(max([comp_pos[j], *deps]), []).append(j)
 
     def check_member(i: int, assignment: dict[int, frozenset[Atom]]) -> bool:

@@ -190,48 +190,40 @@ def encode_asp(
     q = len(pc.positions)
     out: dict[int, ContextAdditions] = {}
 
-    def additions(cid: int) -> ContextAdditions:
-        return out.setdefault(cid, ContextAdditions())
-
-    if q == 0:
-        return out
-
-    def chain_atom(i: int) -> Atom:
-        # c_i is owned by the owner of sequence atom i-1 (1-based)
-        owner = pc.positions[i - 2].atom.context_id
+    def chain_atom(owner: int, i: int) -> Atom:
+        # c_i belongs to the owner of sequence atom i-1 (1-based)
         return Atom(owner, f"sbc_{tag}_c{i}")
 
-    # declare chain atoms c_2 .. c_{q+1} in their owning contexts
-    for i in range(2, q + 2):
-        additions(chain_atom(i).context_id).declare(chain_atom(i))
-
-    s1, t1 = pc.positions[0].atom, pc.positions[0].image
-    first = additions(s1.context_id)
-    first.kb.append(Rule(frozenset(), frozenset({s1}), frozenset({t1})))
-    first.kb.append(Rule(frozenset(), frozenset({chain_atom(2)}), frozenset()))
-
-    for p in pc.positions[1:]:
-        i = p.index
-        prev = pc.positions[i - 2]
-        k = prev.atom.context_id
-        here = additions(k)
-        head = chain_atom(i)
-        nxt = chain_atom(i + 1)
-        j = p.atom.context_id
-        if j == k:
-            cur, cur_img, link = p.atom, p.image, nxt
-        else:
-            cur = here.declare(Atom(k, f"sbc_{tag}_p_{p.atom.name}"))
-            cur_img = here.declare(Atom(k, f"sbc_{tag}_p_{p.image.name}"))
-            link = here.declare(Atom(k, f"sbc_{tag}_pc{i + 1}"))
-            for aux_atom, source in ((cur, p.atom), (cur_img, p.image), (link, nxt)):
-                bridge = BridgeRule(aux_atom, frozenset({source}), frozenset())
-                if bridge not in here.br:
-                    here.br.append(bridge)
-        here.kb.append(Rule(frozenset({head}), frozenset({prev.atom, cur}), frozenset({cur_img})))
-        here.kb.append(Rule(frozenset({head}), frozenset({cur}), frozenset({prev.image, cur_img})))
-        here.kb.append(Rule(frozenset({head}), frozenset({prev.atom, link}), frozenset()))
-        here.kb.append(Rule(frozenset({head}), frozenset({link}), frozenset({prev.image})))
+    for piece in distribute_pc(pc):
+        k = piece.context_id
+        # the chain atoms this context owns come before its primed copies
+        here = out[k] = ContextAdditions(
+            aux=[chain_atom(k, p.index) for p in piece.rule_positions]
+            + ([chain_atom(k, q + 1)] if piece.terminator else [])
+        )
+        if piece.first:
+            s1, t1 = pc.positions[0].atom, pc.positions[0].image
+            here.kb.append(Rule(frozenset(), frozenset({s1}), frozenset({t1})))
+            here.kb.append(Rule(frozenset(), frozenset({chain_atom(k, 2)}), frozenset()))
+        for p in piece.rule_positions:
+            i = p.index
+            prev = pc.positions[i - 2]
+            head = chain_atom(k, i)
+            nxt = chain_atom(p.atom.context_id, i + 1)
+            if p.atom.context_id == k:
+                cur, cur_img, link = p.atom, p.image, nxt
+            else:
+                cur = here.declare(Atom(k, f"sbc_{tag}_p_{p.atom.name}"))
+                cur_img = here.declare(Atom(k, f"sbc_{tag}_p_{p.image.name}"))
+                link = here.declare(Atom(k, f"sbc_{tag}_pc{i + 1}"))
+                for aux_atom, source in ((cur, p.atom), (cur_img, p.image), (link, nxt)):
+                    bridge = BridgeRule(aux_atom, frozenset({source}), frozenset())
+                    if bridge not in here.br:
+                        here.br.append(bridge)
+            here.kb.append(Rule(frozenset({head}), frozenset({prev.atom, cur}), frozenset({cur_img})))
+            here.kb.append(Rule(frozenset({head}), frozenset({cur}), frozenset({prev.image, cur_img})))
+            here.kb.append(Rule(frozenset({head}), frozenset({prev.atom, link}), frozenset()))
+            here.kb.append(Rule(frozenset({head}), frozenset({link}), frozenset({prev.image})))
     return out
 
 
@@ -283,7 +275,7 @@ def project_original(m: System, state: BeliefState) -> BeliefState:
         if v is None:
             comps[i] = None
         else:
-            comps[i] = v & frozenset(m.context(i).alphabet)
+            comps[i] = v & m.context(i).original
     return BeliefState.make(comps)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,11 @@ settings.register_profile(
 settings.load_profile("default")
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
+
+# interpreters the tests start import mcsym from this checkout, as pytest does
+# through the ``pythonpath`` setting in pyproject.toml
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

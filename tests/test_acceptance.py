@@ -225,10 +225,9 @@ class TestRewriteMatchesReferenceFilter:
     def test_full_closure_keeps_exactly_one_leader_per_orbit(self, small_suite):
         for m, order, pe, perms in small_suite:
             mall = extend_mcs(m, perms, order)
-            got = {
-                project_original(mall, s)
-                for s in enumerate_partial_equilibria(mall, 1)
-            }
+            after = enumerate_partial_equilibria(mall, 1)
+            assert evaluate_distributed(mall, 1) == after
+            got = {project_original(mall, s) for s in after}
             assert got == lex_leader_filter(pe, perms, order)
             nonid = [p for p in perms if not p.is_identity()]
             if not nonid:
@@ -253,9 +252,9 @@ class TestGeneratorModeGuarantees:
                 pool |= {p for p in lsd(m, k, mode="local") if not p.is_identity()}
             breakers = select_breaking_set(pool, budget=8)
             mg = extend_mcs(m, breakers, order)
-            survivors = {
-                project_original(mg, s) for s in enumerate_partial_equilibria(mg, 1)
-            }
+            after = enumerate_partial_equilibria(mg, 1)
+            assert evaluate_distributed(mg, 1) == after
+            survivors = {project_original(mg, s) for s in after}
             assert lex_leader_filter(pe, perms, order) <= survivors
             nonid = [p for p in perms if not p.is_identity()]
             for s in pe:

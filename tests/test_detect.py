@@ -20,16 +20,15 @@ from mcsym import (
     graph_perm_to_partial_symmetry,
     group_closure,
     import_closure,
-    import_neighbourhood,
     is_symmetry,
     join_sets,
     lsd,
     parse_system,
     rule,
-    run_detection_service,
 )
 from mcsym.autograph import automorphism_generators
-from mcsym.detect import exported_atoms
+from mcsym import detect
+from mcsym.detect import DetectionService, exported_atoms
 
 from helpers import atoms_of, cyc, random_system
 
@@ -123,7 +122,7 @@ class TestDsd:
 
     def test_visited_neighbourhood_collapses_to_local(self, example1):
         for k in (1, 2, 3):
-            visited = import_neighbourhood(example1, k)
+            visited = example1.context(k).imports
             assert dsd(example1, k, visited) == lsd(example1, k)
 
     def test_all_neighbours_visited_collapses_to_local(self, example1):
@@ -140,7 +139,7 @@ class TestDsd:
             def ref(k, h, order):
                 acc = lsd(m, k, mode=mode)
                 h2 = h | {k}
-                kids = list(import_neighbourhood(m, k) - h2)
+                kids = list(m.context(k).imports - h2)
                 order.shuffle(kids)
                 for i in kids:
                     acc = join_sets(acc, ref(i, h2, order))
@@ -160,13 +159,13 @@ class TestDsd:
 
 class TestService:
     def test_single_request_matches_dsd(self, example1):
-        svc = run_detection_service(example1)
+        svc = DetectionService(example1)
         got = svc.request(1)
         assert got.complete
         assert got.perms == dsd(example1, 1)
 
     def test_second_request_is_served_from_cache(self, example1):
-        svc = run_detection_service(example1)
+        svc = DetectionService(example1)
         first = svc.request(1)
         hits_before = dict(svc.cache_hits)
         second = svc.request(1)
@@ -176,19 +175,28 @@ class TestService:
         assert touched and all(svc.cache_hits[k] >= 1 for k in touched)
 
     def test_requests_stay_inside_import_closure(self, example1):
-        svc = run_detection_service(example1)
+        svc = DetectionService(example1)
         svc.request(1)
         assert svc.requests[3] == 0
 
     def test_log_carries_wire_format(self, example1):
-        svc = run_detection_service(example1)
+        svc = DetectionService(example1)
         svc.request(3)
         assert any(line.startswith("DSD 3 H=-") for line in svc.log)
         assert any(line.startswith("PERMSET ") for line in svc.log)
         assert "(2.f 2.g)" in svc.log
 
+    def test_log_keeps_the_newest_lines(self, example1, monkeypatch):
+        full = DetectionService(example1)
+        full.request(1)
+        assert len(full.log) > 3
+        monkeypatch.setattr(detect, "LOG_LINES", 3)
+        svc = DetectionService(example1)
+        svc.request(1)
+        assert list(svc.log) == list(full.log)[-3:]
+
     def test_degrades_to_generators_over_message_cap(self, example1):
-        svc = run_detection_service(example1, message_cap=1)
+        svc = DetectionService(example1, message_cap=1)
         got = svc.request(1)
         assert not got.complete
         assert len(got.perms) <= 2
@@ -205,14 +213,14 @@ class TestService:
         for m, k in cases:
             want = dsd(m, k)
             for message_cap in (0, 1, 2, 4):
-                svc = run_detection_service(m, message_cap=message_cap)
+                svc = DetectionService(m, message_cap=message_cap)
                 got = svc.request(k)
                 perms = got.perms if got.complete else group_closure(got.perms)
                 assert perms == want, (k, message_cap)
                 assert sum(svc.requests.values()) == len(import_closure(m, k)), (k, message_cap)
 
     def test_concurrent_roots_agree_with_dsd(self, example1):
-        svc = run_detection_service(example1)
+        svc = DetectionService(example1)
         for k in (1, 2, 3):
             assert svc.request(k).perms == dsd(example1, k)
 

@@ -12,6 +12,7 @@ from mcsym import (
     BridgeRule,
     Context,
     InsufficientBeliefState,
+    InternalError,
     ParseError,
     Permutation,
     Rule,
@@ -19,12 +20,13 @@ from mcsym import (
     applicable,
     apply,
     brute_force_partial_symmetries,
+    dsd,
     emit_system,
     enumerate_partial_equilibria,
     evaluate_distributed,
+    extend_mcs,
     group_closure,
     import_closure,
-    import_neighbourhood,
     is_equilibrium,
     is_local_symmetry,
     is_partial_equilibrium,
@@ -67,9 +69,9 @@ def the_four_partial_wrt_1(m):
 
 class TestImports:
     def test_neighbourhood(self, example1):
-        assert import_neighbourhood(example1, 1) == frozenset({2})
-        assert import_neighbourhood(example1, 2) == frozenset({1})
-        assert import_neighbourhood(example1, 3) == frozenset({1})
+        assert example1.context(1).imports == frozenset({2})
+        assert example1.context(2).imports == frozenset({1})
+        assert example1.context(3).imports == frozenset({1})
 
     def test_closure(self, example1):
         assert import_closure(example1, 1) == frozenset({1, 2})
@@ -181,6 +183,15 @@ class TestEquilibria:
             m = random_system(rng, max_contexts=3, max_atoms=3)
             for k in m.ids:
                 assert evaluate_distributed(m, k) == enumerate_partial_equilibria(m, k)
+
+    def test_rule_mixing_original_head_and_aux_fails_when_solved(self):
+        # the kb split is checked when first used, not when the system is built
+        p, x = Atom(1, "p"), Atom(1, "x")
+        m = System((Context(1, (p,), (rule(head=[p], pos=[x]),), (), (x,)),))
+        with pytest.raises(InternalError):
+            enumerate_partial_equilibria(m, 1)
+        with pytest.raises(InternalError):
+            evaluate_distributed(m, 1)
 
 
 class TestSymmetryPredicates:
@@ -364,6 +375,16 @@ class TestFileFormat:
         m = parse_system(text)
         assert [x.name for x in m.context(1).aux] == ["sbc_p0_c2"]
         assert parse_system(emit_system(m)) == m
+
+    def test_solved_system_equals_and_hashes_like_its_reparse(self, example1):
+        # what solving keeps on the contexts stays out of equality and hashing
+        m = extend_mcs(example1, dsd(example1, 1))
+        enumerate_partial_equilibria(m)
+        evaluate_distributed(m, 1)
+        assert all("split_kb" in vars(c) for c in m.contexts)
+        again = parse_system(emit_system(m))
+        assert again == m
+        assert hash(again) == hash(m)
 
     def test_bad_header(self):
         with pytest.raises(ParseError):

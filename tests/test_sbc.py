@@ -20,6 +20,7 @@ from mcsym import (
     emit_system,
     encode_asp,
     enumerate_partial_equilibria,
+    evaluate_distributed,
     extend_mcs,
     lex_leader_filter,
     parse_system,
@@ -236,7 +237,9 @@ class TestExtend:
         again = emit_system(extend_mcs(example1, [fg, abde, abdefg]))
         assert once == again
 
-    def test_surviving_states_are_the_constraint_satisfiers(self, example1, order, abde):
+    def test_surviving_states_are_the_constraint_satisfiers(
+        self, example1, order, abde, fg, abdefg
+    ):
         m2 = extend_mcs(example1, [abde])
         got = {
             project_original(m2, s) for s in enumerate_partial_equilibria(m2, 1)
@@ -247,6 +250,13 @@ class TestExtend:
             state_of(example1, {1: set(), 2: {"d", "e", "f"}}),
             state_of(example1, {1: set(), 2: {"d", "e", "g"}}),
         }
+        # abdefg's chain passes from context 1 to context 2 through primed
+        # copies whose values arrive as auxiliary bridge heads
+        for p in (abde, fg, abdefg):
+            m1 = extend_mcs(example1, [p])
+            want = {s for s in partial_wrt_1(example1) if pc_satisfied(s, p, order)}
+            for solve in (enumerate_partial_equilibria, evaluate_distributed):
+                assert {project_original(m1, s) for s in solve(m1, 1)} == want
 
     def test_closed_set_keeps_exactly_the_lex_leaders(self, example1, order):
         perms = dsd(example1, 1)
