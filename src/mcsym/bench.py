@@ -241,6 +241,8 @@ def select_breakers(
     their own context's unexported atoms, so their supports are disjoint and
     the group they generate is the direct product of the sets.
     """
+    if budget is not None and budget < 0:
+        raise ParseError(f"budget must be at least 0, got {budget}")
     if mode == "none":
         return [], 0
     if mode == "full":

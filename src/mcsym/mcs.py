@@ -10,7 +10,14 @@ Acceptability of a belief set is stable-model based.  Contexts may carry an
 auxiliary alphabet extension (used by the symmetry-breaking rewrite); the
 acceptability check then splits the knowledge base at the auxiliary boundary:
 the original part must be an answer set as before, and the auxiliary part is
-a deterministic, acyclic completion on top of it.
+a deterministic, acyclic completion on top of it.  Kb rules and bridge rules
+with an original head use no auxiliary atoms, so the original part of a
+belief state can be decided before any auxiliary atom is known.
+
+The distributed solver builds, per call, a table of each context's local
+answer sets under every subset of its original bridge heads.  It accepts a
+candidate at search depth by looking it up in that table, and completes and
+checks the auxiliary atoms only at the leaves.
 
 What the solver derives from a context is computed once, when first used, and
 kept on the context: its original alphabet as a set, its atoms with the
@@ -115,6 +122,7 @@ class System:
         object.__setattr__(self, "_by_id", {c.id: c for c in self.contexts})
         # plain locals: validation keeps nothing on the contexts
         declared = {c.id: frozenset(c.alphabet + c.aux) for c in self.contexts}
+        aux = frozenset(a for c in self.contexts for a in c.aux)
         for c in self.contexts:
             names = [a.name for a in c.alphabet + c.aux]
             if len(set(names)) != len(names):
@@ -135,6 +143,12 @@ class System:
                             f"context {c.id}: bridge literal ({a.context_id}:{a.name}) "
                             "does not name a declared atom"
                         )
+                # the solver prunes on the original part before completing aux
+                if b.head not in aux and not (b.body_pos | b.body_neg).isdisjoint(aux):
+                    raise ParseError(
+                        f"context {c.id}: bridge rule for original atom {b.head.name!r} "
+                        "reads an auxiliary atom"
+                    )
 
     def context(self, i: int) -> Context:
         c = self._by_id.get(i)
@@ -242,31 +256,18 @@ def applicable(ctx: Context, state: BeliefState) -> frozenset[Atom]:
 
     Raises :class:`InsufficientBeliefState` if a referenced component is eps.
     """
-    heads = set()
-    for b in ctx.br:
-        ok = True
-        for a in b.body_pos:
-            s = state.get(a.context_id)
-            if s is None:
-                raise InsufficientBeliefState(
-                    f"insufficient belief state: context {a.context_id} is undefined"
-                )
-            if a not in s:
-                ok = False
-                break
-        if ok:
-            for a in b.body_neg:
-                s = state.get(a.context_id)
-                if s is None:
-                    raise InsufficientBeliefState(
-                        f"insufficient belief state: context {a.context_id} is undefined"
-                    )
-                if a in s:
-                    ok = False
-                    break
-        if ok:
-            heads.add(b.head)
-    return frozenset(heads)
+    return frozenset(
+        b.head
+        for b in ctx.br
+        if all(_holds(state, a) for a in b.body_pos) and not any(_holds(state, a) for a in b.body_neg)
+    )
+
+
+def _holds(state: BeliefState, a: Atom) -> bool:
+    s = state.get(a.context_id)
+    if s is None:
+        raise InsufficientBeliefState(f"insufficient belief state: context {a.context_id} is undefined")
+    return a in s
 
 
 def _facts(atoms: Iterable[Atom]) -> list[Rule]:
@@ -299,31 +300,19 @@ def _acceptable(ctx: Context, s_i: frozenset[Atom], heads: frozenset[Atom]) -> b
 
 def is_equilibrium(m: System, state: BeliefState) -> bool:
     """All components defined, each acceptable under the applicable bridge heads."""
-    for c in m.contexts:
-        s_i = state.get(c.id)
-        if s_i is None:
-            return False
-    for c in m.contexts:
-        if not _acceptable(c, state.get(c.id), applicable(c, state)):
-            return False
-    return True
+    return _equilibrium_on(m, state, frozenset(m.ids))
 
 
 def is_partial_equilibrium(m: System, state: BeliefState, k: int) -> bool:
     """Equilibrium condition on IC(k); eps everywhere else."""
-    ic = import_closure(m, k)
-    for c in m.contexts:
-        s_i = state.get(c.id)
-        if c.id in ic:
-            if s_i is None:
-                return False
-        elif s_i is not None:
-            return False
-    for i in ic:
-        c = m.context(i)
-        if not _acceptable(c, state.get(i), applicable(c, state)):
-            return False
-    return True
+    return _equilibrium_on(m, state, import_closure(m, k))
+
+
+def _equilibrium_on(m: System, state: BeliefState, ids: frozenset[int]) -> bool:
+    """Defined exactly on ``ids``, each member acceptable under its applicable bridge heads."""
+    if any((state.get(c.id) is None) == (c.id in ids) for c in m.contexts):
+        return False
+    return all(_acceptable(m.context(i), state.get(i), applicable(m.context(i), state)) for i in ids)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +378,7 @@ def enumerate_partial_equilibria(
         completed = _complete_aux(m, assignment, frozenset(ids))
         full = {**completed, **{i: None for i in eps_ids}}
         state = BeliefState.make(full)
-        ok = is_partial_equilibrium(m, state, k) if k is not None else is_equilibrium(m, state)
-        if ok:
+        if _equilibrium_on(m, state, frozenset(ids)):
             out.append(state)
     return frozenset(out)
 
@@ -439,20 +427,20 @@ def _sccs(m: System, ids: frozenset[int]) -> list[list[int]]:
     return out
 
 
-def _local_candidates(ctx: Context, bound: int) -> list[frozenset[Atom]]:
-    """Belief sets ``ctx`` could accept under *some* bridge input.
+def _local_table(ctx: Context, bound: int) -> dict[frozenset[Atom], frozenset[frozenset[Atom]]]:
+    """The answer sets of the original kb plus each subset of the original bridge heads.
 
-    Union of the answer sets of kb plus any subset of the bridge heads.
-    Candidates cover original atoms only; auxiliary completion happens later.
+    A belief set's original part is acceptable under bridge input ``heads``
+    exactly when it is in ``table[heads & ctx.original]``.
     """
     bottom, _ = ctx.split_kb
-    heads = sorted({b.head for b in ctx.br} & ctx.original)
     _candidate_atoms(ctx, bound)  # raises past the bound
-    pool: set[frozenset[Atom]] = set()
-    for r in range(len(heads) + 1):
-        for hs in combinations(heads, r):
-            pool |= asp.answer_sets([*bottom, *_facts(hs)], bound=bound)
-    return sorted(pool, key=lambda s: tuple(sorted(a.name for a in s)))
+    heads = sorted({b.head for b in ctx.br} & ctx.original)
+    return {
+        frozenset(hs): asp.answer_sets([*bottom, *_facts(hs)], bound=bound)
+        for r in range(len(heads) + 1)
+        for hs in combinations(heads, r)
+    }
 
 
 def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[BeliefState]:
@@ -461,7 +449,10 @@ def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[Belief
     Equivalent to :func:`enumerate_partial_equilibria` but structured the way
     a distributed evaluation would run: each strongly connected component of
     the import digraph is solved jointly once its dependencies are solved,
-    and component results are merged on agreement.
+    and component results are merged on agreement.  For each member the call
+    builds one table of its local answer sets per bridge input (see
+    :func:`_local_table`); the member's candidates are the union of that
+    table's values, and :func:`_scc_assignments` accepts them by lookup.
     """
     ic = import_closure(m, k)
     sccs = _sccs(m, ic)
@@ -470,7 +461,6 @@ def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[Belief
         for v in comp:
             scc_of[v] = idx
     results: list[list[dict[int, frozenset[Atom]]]] = []
-    has_aux = any(m.context(i).aux for i in ic)
 
     for idx, comp in enumerate(sccs):
         children = sorted(
@@ -487,62 +477,64 @@ def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[Belief
             merged = nxt
             if not merged:
                 break
-        pools = {i: _local_candidates(m.context(i), bound) for i in comp}
-        own: list[dict[int, frozenset[Atom]]] = []
-        for base in merged:
-            own.extend(_scc_assignments(m, comp, pools, base, has_aux))
-        results.append(own)
+        tables = {i: _local_table(m.context(i), bound) for i in comp}
+        results.append(_scc_assignments(m, comp, tables, merged))
 
-    final = results[scc_of[k]]
-    eps_ids = [i for i in m.ids if i not in ic]
-    out = []
-    for assignment in final:
-        state = BeliefState.make({**assignment, **{i: None for i in eps_ids}})
-        out.append(state)
-    return frozenset(out)
+    eps = {i: None for i in m.ids if i not in ic}
+    return frozenset(BeliefState.make({**assignment, **eps}) for assignment in results[scc_of[k]])
 
 
 def _scc_assignments(
     m: System,
     comp: list[int],
-    pools: dict[int, list[frozenset[Atom]]],
-    base: dict[int, frozenset[Atom]],
-    has_aux: bool,
+    tables: dict[int, dict[frozenset[Atom], frozenset[frozenset[Atom]]]],
+    bases: list[dict[int, frozenset[Atom]]],
 ) -> list[dict[int, frozenset[Atom]]]:
-    """Extend ``base`` by consistent belief sets for one SCC's members."""
+    """Extend each of ``bases`` by acceptable belief sets of one SCC's members.
+
+    Members take original-only candidates in ``comp`` order.  Once a member
+    and its in-component imports are assigned, its candidate must be in
+    ``tables[i][applicable(ctx, state) & ctx.original]``.  Bridge rules with
+    original heads read no auxiliary atoms (:class:`System` rejects any that
+    do), so these heads are the same before and after completion and the
+    lookup decides the original part exactly.  At a leaf the auxiliary atoms
+    are completed, and only members that carry them are checked again, in
+    full with :func:`_acceptable`.
+    """
     out: list[dict[int, frozenset[Atom]]] = []
     comp_pos = {i: idx for idx, i in enumerate(comp)}
-    # a member can be validated once itself and all its in-component imports
+    pools = {
+        i: sorted(frozenset().union(*tables[i].values()), key=lambda s: tuple(sorted(a.name for a in s)))
+        for i in comp
+    }
+    # a member can be checked once itself and all its in-component imports
     # are assigned; record at which search depth that happens
     checks_at: dict[int, list[int]] = {}
     for j in comp:
         deps = [comp_pos[w] for w in m.context(j).imports if w in comp_pos]
         checks_at.setdefault(max([comp_pos[j], *deps]), []).append(j)
+    with_aux = [m.context(i) for i in comp if m.context(i).aux]
 
-    def check_member(i: int, assignment: dict[int, frozenset[Atom]]) -> bool:
+    def original_ok(i: int, assignment: dict[int, frozenset[Atom]]) -> bool:
         ctx = m.context(i)
-        state = BeliefState.make(assignment)
-        return _acceptable(ctx, assignment[i], applicable(ctx, state))
+        heads = applicable(ctx, BeliefState.make(assignment)) & ctx.original
+        return assignment[i] in tables[i][heads]
 
     def dfs(pos: int, assignment: dict[int, frozenset[Atom]]) -> None:
         if pos == len(comp):
-            if has_aux:
-                completed = _complete_aux(m, assignment, frozenset(assignment))
-                if all(check_member(i, completed) for i in comp):
-                    out.append(completed)
-            else:
-                out.append(assignment)
+            completed = _complete_aux(m, assignment, frozenset(comp))
+            state = BeliefState.make(completed)
+            if all(_acceptable(c, completed[c.id], applicable(c, state)) for c in with_aux):
+                out.append(completed)
             return
         i = comp[pos]
         for cand in pools[i]:
             nxt = {**assignment, i: cand}
-            # prune as soon as a member's imports are complete (without aux,
-            # where candidate sets are already final)
-            if not has_aux and not all(check_member(j, nxt) for j in checks_at.get(pos, ())):
-                continue
-            dfs(pos + 1, nxt)
+            if all(original_ok(j, nxt) for j in checks_at.get(pos, ())):
+                dfs(pos + 1, nxt)
 
-    dfs(0, dict(base))
+    for base in bases:
+        dfs(0, base)
     return out
 
 

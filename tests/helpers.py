@@ -114,3 +114,43 @@ def random_system(
                     br.append(BridgeRule(head, frozenset(), frozenset({y})))
         contexts.append(Context(i, atoms, tuple(kb), tuple(dict.fromkeys(br))))
     return System(tuple(contexts))
+
+
+def with_random_aux_layer(rng: random.Random, m: System) -> System:
+    """``m`` plus a random auxiliary layer that is acyclic across the system.
+
+    Each context gets 0-2 aux atoms.  An aux atom is defined by kb rules over
+    the context's originals and its earlier aux atoms, and may also be the
+    head of a bridge rule over other contexts' originals and earlier aux
+    atoms.  Aux constraints mix positive and negative literals, at least one
+    of them on an aux atom.  Bridge rules with original heads stay as they are.
+    """
+    earlier: list[Atom] = []  # aux atoms of the contexts already extended
+
+    def split(body: list[Atom]) -> tuple[frozenset[Atom], frozenset[Atom]]:
+        pos = frozenset(a for a in body if rng.random() < 0.5)
+        return pos, frozenset(body) - pos
+
+    contexts = []
+    for c in m.contexts:
+        aux: list[Atom] = []
+        kb, br = list(c.kb), list(c.br)
+        foreign = [a for d in m.contexts if d.id != c.id for a in d.alphabet]
+        for j in range(rng.randint(0, 2)):
+            x = Atom(c.id, f"x{c.id}_{j}")
+            own = list(c.alphabet) + aux
+            for _ in range(rng.randint(1, 2)):
+                kb.append(Rule(frozenset({x}), *split(rng.sample(own, rng.randint(0, min(2, len(own)))))))
+            readable = earlier + foreign
+            if readable and rng.random() < 0.6:
+                br.append(BridgeRule(x, *split(rng.sample(readable, rng.randint(1, min(2, len(readable)))))))
+            aux.append(x)
+        for _ in range(rng.randint(0, 2) if aux else 0):
+            x = rng.choice(aux)
+            other = rng.choice([a for a in list(c.alphabet) + aux if a != x])
+            pos, neg = ({x}, set()) if rng.random() < 0.5 else (set(), {x})
+            (pos if rng.random() < 0.5 else neg).add(other)
+            kb.append(Rule(frozenset(), frozenset(pos), frozenset(neg)))
+        earlier += aux
+        contexts.append(Context(c.id, c.alphabet, tuple(dict.fromkeys(kb)), tuple(dict.fromkeys(br)), tuple(aux)))
+    return System(tuple(contexts))

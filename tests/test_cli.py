@@ -145,6 +145,14 @@ class TestBreak:
         added = [a.name for c in m2.contexts for a in c.aux]
         assert added == ["sbc_p0_c2"]  # one local generator, one chain atom
 
+    def test_negative_budget_exits_2(self, example1_path, capsys):
+        argv = ["break", str(example1_path), "--root", "1", "--mode", "generators"]
+        assert main([*argv, "--budget", "-1", "--emit-sbc"]) == 2
+        assert "budget" in capsys.readouterr().err
+        bench = ["bench", "--topology", "diamond", "--n", "4", "--seeds", "0", "--mode", "generators"]
+        assert main([*bench, "--budget", "-1"]) == 2
+        assert "budget" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_equilibria_sorted(self, example1_path, example1, capsys):

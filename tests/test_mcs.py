@@ -37,7 +37,7 @@ from mcsym import (
     rule,
 )
 
-from helpers import atoms_of, cyc, random_system, state_of
+from helpers import atoms_of, cyc, random_system, state_of, with_random_aux_layer
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +181,15 @@ class TestEquilibria:
         rng = random.Random(20260816)
         for _ in range(25):
             m = random_system(rng, max_contexts=3, max_atoms=3)
+            for k in m.ids:
+                assert evaluate_distributed(m, k) == enumerate_partial_equilibria(m, k)
+
+    def test_distributed_matches_with_random_aux_layers(self):
+        # the rewrite is not the only source of aux atoms: aux constraints that
+        # a member violates without deriving any aux atom must still reject it
+        rng = random.Random(20261018)
+        for _ in range(100):
+            m = with_random_aux_layer(rng, random_system(rng, max_contexts=3, max_atoms=3))
             for k in m.ids:
                 assert evaluate_distributed(m, k) == enumerate_partial_equilibria(m, k)
 
@@ -417,6 +426,21 @@ class TestFileFormat:
                     Context(1, (p,), (), (BridgeRule(q, frozenset({q}), frozenset()),)),
                     Context(2, (q,), (), ()),
                 )
+            )
+
+    def test_original_bridge_head_reading_aux_rejected(self):
+        p, q, x = Atom(1, "p"), Atom(2, "q"), Atom(2, "x")
+        with pytest.raises(ParseError):
+            System(
+                (
+                    Context(1, (p,), (), (BridgeRule(p, frozenset(), frozenset({x})),)),
+                    Context(2, (q,), (), (), (x,)),
+                )
+            )
+        with pytest.raises(ParseError):
+            parse_system(
+                "mcs 2\ncontext 1\n  atoms p\n  kb\n  br\n    p :- not (2:x).\n"
+                "context 2\n  atoms q\n  aux x\n  kb\n  br\n"
             )
 
     def test_undeclared_bridge_reference_rejected(self):
