@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InternalError
+from .errors import InternalError, ParseError
 from .autograph import Graph, automorphism_generators
 from .mcs import Context, System
 from .perm import (
@@ -215,12 +215,14 @@ class DetectionService:
     exactly once.  Each node computes its local set once and reuses it
     across requests.  A nontrivial reply larger than ``message_cap``
     degrades to an irredundant generating subset, which the receiving node
-    closes back to the group before joining.  The message log records the
-    line-delimited wire form of each exchange, keeping the newest
-    :data:`LOG_LINES` lines.
+    closes back to the group before joining; a negative cap raises
+    :class:`ParseError`.  The message log records the line-delimited wire
+    form of each exchange, keeping the newest :data:`LOG_LINES` lines.
     """
 
     def __init__(self, m: System, mode: str = "shared", message_cap: int = 4096) -> None:
+        if message_cap < 0:
+            raise ParseError(f"message cap must be at least 0, got {message_cap}")
         self.m = m
         self.mode = mode
         self.message_cap = message_cap

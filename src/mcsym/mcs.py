@@ -14,10 +14,13 @@ a deterministic, acyclic completion on top of it.  Kb rules and bridge rules
 with an original head use no auxiliary atoms, so the original part of a
 belief state can be decided before any auxiliary atom is known.
 
-The distributed solver builds, per call, a table of each context's local
-answer sets under every subset of its original bridge heads.  It accepts a
-candidate at search depth by looking it up in that table, and completes and
-checks the auxiliary atoms only at the leaves.
+The distributed solver runs one backtracking search over the import closure,
+assigning contexts in depth-first post-order over import edges.  Per call it
+builds a table of each member's local answer sets under every subset of its
+original bridge heads.  A member's candidate is accepted by a lookup in that
+table as soon as the member and its imports are assigned; the auxiliary
+atoms are completed and checked only at the leaves, where a whole assignment
+of the closure becomes a belief state.
 
 What the solver derives from a context is computed once, when first used, and
 kept on the context: its original alphabet as a set, its atoms with the
@@ -251,10 +254,12 @@ def import_closure(m: System, k: int) -> frozenset[int]:
 # applicability and acceptability
 
 
-def applicable(ctx: Context, state: BeliefState) -> frozenset[Atom]:
+def applicable(ctx: Context, state: BeliefState | Mapping[int, frozenset[Atom] | None]) -> frozenset[Atom]:
     """Heads of the bridge rules of ``ctx`` applicable in ``state``.
 
-    Raises :class:`InsufficientBeliefState` if a referenced component is eps.
+    ``state`` is a belief state or a dict from context id to belief set.
+    Raises :class:`InsufficientBeliefState` if a referenced component is eps,
+    or missing from a dict.
     """
     return frozenset(
         b.head
@@ -263,7 +268,7 @@ def applicable(ctx: Context, state: BeliefState) -> frozenset[Atom]:
     )
 
 
-def _holds(state: BeliefState, a: Atom) -> bool:
+def _holds(state: BeliefState | Mapping[int, frozenset[Atom] | None], a: Atom) -> bool:
     s = state.get(a.context_id)
     if s is None:
         raise InsufficientBeliefState(f"insufficient belief state: context {a.context_id} is undefined")
@@ -330,24 +335,29 @@ def _candidate_atoms(ctx: Context, bound: int) -> list[Atom]:
     return cand
 
 
-def _complete_aux(m: System, assignment: dict[int, frozenset[Atom]], ids: frozenset[int]) -> dict[int, frozenset[Atom]]:
+def _complete_aux(m: System, assignment: dict[int, frozenset[Atom]]) -> dict[int, frozenset[Atom]]:
     """Deterministically extend original-atom components by auxiliary atoms.
 
     Auxiliary rules are acyclic across the system, so iterating the per-context
     stratified completion converges; the round cap guards the invariant.
     """
     current = dict(assignment)
-    total_aux = sum(len(m.context(i).aux) for i in ids)
+    total_aux = sum(len(m.context(i).aux) for i in current)
     if total_aux == 0:
         return current
+    inputs: dict[int, frozenset[Atom]] = {}
     for _ in range(total_aux + 2):
         changed = False
-        state = BeliefState.make(current)
-        for i in ids:
+        state = dict(current)  # each round reads the previous round's sets
+        for i in state:
             ctx = m.context(i)
             if not ctx.aux:
                 continue
-            ext, _ = _extend_aux(ctx, current[i] & ctx.original, applicable(ctx, state))
+            heads = applicable(ctx, state)
+            if inputs.get(i) == heads:
+                continue  # the same bridge input completes to the same set
+            inputs[i] = heads
+            ext, _ = _extend_aux(ctx, current[i] & ctx.original, heads)
             if ext != current[i]:
                 current[i] = ext
                 changed = True
@@ -375,7 +385,7 @@ def enumerate_partial_equilibria(
     eps_ids = [i for i in m.ids if i not in ids]
     for combo in product(*pools):
         assignment = dict(zip(ids, combo))
-        completed = _complete_aux(m, assignment, frozenset(ids))
+        completed = _complete_aux(m, assignment)
         full = {**completed, **{i: None for i in eps_ids}}
         state = BeliefState.make(full)
         if _equilibrium_on(m, state, frozenset(ids)):
@@ -385,46 +395,6 @@ def enumerate_partial_equilibria(
 
 # ---------------------------------------------------------------------------
 # distributed evaluation
-
-
-def _sccs(m: System, ids: frozenset[int]) -> list[list[int]]:
-    """Tarjan's algorithm on the import digraph restricted to ``ids``.
-
-    Emits strongly connected components with dependencies first: every
-    component appears before any component that imports from it.
-    """
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = [0]
-
-    def strong(v: int) -> None:
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in sorted(m.context(v).imports & ids):
-            if w not in index:
-                strong(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            out.append(sorted(comp))
-
-    for v in sorted(ids):
-        if v not in index:
-            strong(v)
-    return out
 
 
 def _local_table(ctx: Context, bound: int) -> dict[frozenset[Atom], frozenset[frozenset[Atom]]]:
@@ -444,98 +414,63 @@ def _local_table(ctx: Context, bound: int) -> dict[frozenset[Atom], frozenset[fr
 
 
 def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[BeliefState]:
-    """Partial equilibria w.r.t. C_k, computed bottom-up over import SCCs.
+    """Partial equilibria w.r.t. C_k, by one backtracking search over IC(k).
 
-    Equivalent to :func:`enumerate_partial_equilibria` but structured the way
-    a distributed evaluation would run: each strongly connected component of
-    the import digraph is solved jointly once its dependencies are solved,
-    and component results are merged on agreement.  For each member the call
-    builds one table of its local answer sets per bridge input (see
-    :func:`_local_table`); the member's candidates are the union of that
-    table's values, and :func:`_scc_assignments` accepts them by lookup.
+    Equivalent to :func:`enumerate_partial_equilibria`.  The members are
+    assigned in depth-first post-order over import edges from ``k``, so
+    outside import cycles a context comes after everything it imports.  Each
+    member's candidates are the union of its table of local answer sets per
+    bridge input (see :func:`_local_table`), built once per call.  At the
+    first depth where a member and all its imports are assigned, its
+    candidate must be in ``table[applicable(ctx, assignment) & ctx.original]``.
+    Bridge rules with original heads read no auxiliary atoms (:class:`System`
+    rejects any that do), so these heads are the same before and after
+    completion and the lookup decides the original part exactly.  At a leaf
+    the auxiliary atoms are completed, and only members that carry them are
+    checked again, in full with :func:`_acceptable`.
     """
-    ic = import_closure(m, k)
-    sccs = _sccs(m, ic)
-    scc_of: dict[int, int] = {}
-    for idx, comp in enumerate(sccs):
-        for v in comp:
-            scc_of[v] = idx
-    results: list[list[dict[int, frozenset[Atom]]]] = []
+    order: list[int] = []
+    seen: set[int] = set()
 
-    for idx, comp in enumerate(sccs):
-        children = sorted(
-            {scc_of[w] for v in comp for w in m.context(v).imports & ic if scc_of[w] != idx}
-        )
-        merged: list[dict[int, frozenset[Atom]]] = [{}]
-        for ch in children:
-            nxt = []
-            for base in merged:
-                for part in results[ch]:
-                    shared = base.keys() & part.keys()
-                    if all(base[i] == part[i] for i in shared):
-                        nxt.append({**base, **part})
-            merged = nxt
-            if not merged:
-                break
-        tables = {i: _local_table(m.context(i), bound) for i in comp}
-        results.append(_scc_assignments(m, comp, tables, merged))
+    def visit(i: int) -> None:
+        seen.add(i)
+        for j in sorted(m.context(i).imports):
+            if j not in seen:
+                visit(j)
+        order.append(i)
 
-    eps = {i: None for i in m.ids if i not in ic}
-    return frozenset(BeliefState.make({**assignment, **eps}) for assignment in results[scc_of[k]])
+    visit(k)
+    members = [m.context(i) for i in order]
+    tables = {c.id: _local_table(c, bound) for c in members}
+    pools = [
+        sorted(frozenset().union(*tables[c.id].values()), key=lambda s: tuple(sorted(a.name for a in s)))
+        for c in members
+    ]
+    checks_at: list[list[Context]] = [[] for _ in members]
+    for c in members:
+        checks_at[max(order.index(j) for j in c.imports | {c.id})].append(c)
+    with_aux = [c for c in members if c.aux]
+    eps = {i: None for i in m.ids if i not in seen}
+    out: list[BeliefState] = []
+    # entries past the current depth are stale, and no check reads them
+    assignment: dict[int, frozenset[Atom]] = {}
 
-
-def _scc_assignments(
-    m: System,
-    comp: list[int],
-    tables: dict[int, dict[frozenset[Atom], frozenset[frozenset[Atom]]]],
-    bases: list[dict[int, frozenset[Atom]]],
-) -> list[dict[int, frozenset[Atom]]]:
-    """Extend each of ``bases`` by acceptable belief sets of one SCC's members.
-
-    Members take original-only candidates in ``comp`` order.  Once a member
-    and its in-component imports are assigned, its candidate must be in
-    ``tables[i][applicable(ctx, state) & ctx.original]``.  Bridge rules with
-    original heads read no auxiliary atoms (:class:`System` rejects any that
-    do), so these heads are the same before and after completion and the
-    lookup decides the original part exactly.  At a leaf the auxiliary atoms
-    are completed, and only members that carry them are checked again, in
-    full with :func:`_acceptable`.
-    """
-    out: list[dict[int, frozenset[Atom]]] = []
-    comp_pos = {i: idx for idx, i in enumerate(comp)}
-    pools = {
-        i: sorted(frozenset().union(*tables[i].values()), key=lambda s: tuple(sorted(a.name for a in s)))
-        for i in comp
-    }
-    # a member can be checked once itself and all its in-component imports
-    # are assigned; record at which search depth that happens
-    checks_at: dict[int, list[int]] = {}
-    for j in comp:
-        deps = [comp_pos[w] for w in m.context(j).imports if w in comp_pos]
-        checks_at.setdefault(max([comp_pos[j], *deps]), []).append(j)
-    with_aux = [m.context(i) for i in comp if m.context(i).aux]
-
-    def original_ok(i: int, assignment: dict[int, frozenset[Atom]]) -> bool:
-        ctx = m.context(i)
-        heads = applicable(ctx, BeliefState.make(assignment)) & ctx.original
-        return assignment[i] in tables[i][heads]
-
-    def dfs(pos: int, assignment: dict[int, frozenset[Atom]]) -> None:
-        if pos == len(comp):
-            completed = _complete_aux(m, assignment, frozenset(comp))
-            state = BeliefState.make(completed)
-            if all(_acceptable(c, completed[c.id], applicable(c, state)) for c in with_aux):
-                out.append(completed)
+    def search(depth: int) -> None:
+        if depth == len(order):
+            completed = _complete_aux(m, assignment)
+            if all(_acceptable(c, completed[c.id], applicable(c, completed)) for c in with_aux):
+                out.append(BeliefState.make({**completed, **eps}))
             return
-        i = comp[pos]
-        for cand in pools[i]:
-            nxt = {**assignment, i: cand}
-            if all(original_ok(j, nxt) for j in checks_at.get(pos, ())):
-                dfs(pos + 1, nxt)
+        for cand in pools[depth]:
+            assignment[order[depth]] = cand
+            if all(
+                assignment[c.id] in tables[c.id][applicable(c, assignment) & c.original]
+                for c in checks_at[depth]
+            ):
+                search(depth + 1)
 
-    for base in bases:
-        dfs(0, base)
-    return out
+    search(0)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

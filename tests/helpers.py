@@ -41,6 +41,7 @@ def random_system(
     max_contexts: int = 4,
     max_atoms: int = 4,
     *,
+    min_contexts: int = 1,
     twin_bias: float = 0.6,
     allow_cycles: bool = True,
     edge_probability: float = 0.5,
@@ -53,7 +54,7 @@ def random_system(
     same head and sign.  This makes nontrivial symmetry groups common while
     everything else stays arbitrary.
     """
-    n = rng.randint(1, max_contexts)
+    n = rng.randint(min_contexts, max_contexts)
     alphabets = {
         i: tuple(Atom(i, f"a{i}_{j}") for j in range(1, rng.randint(1, max_atoms) + 1))
         for i in range(1, n + 1)

@@ -16,6 +16,7 @@ import pytest
 
 from mcsym import (
     Permutation,
+    apply,
     brute_force_partial_symmetries,
     build_gap,
     compose,
@@ -29,6 +30,8 @@ from mcsym import (
     graph_perm_to_partial_symmetry,
     group_closure,
     import_closure,
+    is_partial_equilibrium,
+    is_symmetry,
     lex_leader_filter,
     load_system,
     lsd,
@@ -36,6 +39,7 @@ from mcsym import (
     pc_satisfied,
     project_original,
     reduce_irredundant,
+    rule,
     run_pipeline,
     select_breaking_set,
     topology_edges,
@@ -82,6 +86,33 @@ class TestFrozenExampleSolutions:
         }
         assert rooted == enumerate_partial_equilibria(m, 1)
         assert elapsed < 1.0
+
+
+def _planted_swaps(m) -> list[Permutation]:
+    """The swaps of each context's ``p :- not q.  q :- not p.`` pair."""
+    swaps = []
+    for c in m.contexts:
+        p, q = c.alphabet[-2:]
+        if rule(head=[p], neg=[q]) in c.kb and rule(head=[q], neg=[p]) in c.kb:
+            swaps.append(Permutation({p: q, q: p}))
+    return swaps
+
+
+class TestStackedDiamondSolve:
+    def test_sixteen_contexts_solve_within_ten_seconds(self):
+        m = generate(TopologySpec("diamond", 16, 0))
+        t0 = time.perf_counter()
+        states = evaluate_distributed(m, 1)
+        elapsed = time.perf_counter() - t0
+        assert len(states) == 8192
+        swaps = _planted_swaps(m)
+        assert len(swaps) >= 2
+        for swap in (swaps[0], swaps[-1]):
+            assert is_symmetry(m, swap)
+            assert {apply(swap, s) for s in states} == states
+        for s in random.Random(16).sample(sorted(states, key=str), 5):
+            assert is_partial_equilibrium(m, s, 1)
+        assert elapsed < 10.0
 
 
 @pytest.fixture(scope="module")

@@ -88,6 +88,13 @@ class TestDetect:
         first = capsys.readouterr().out.splitlines()[0]
         assert first.startswith("PERMSET") and first.endswith("generators")
 
+    def test_negative_message_cap_exits_2(self, example1_path, capsys):
+        argv = ["detect", str(example1_path), "--root", "1", "--service"]
+        assert main([*argv, "--message-cap", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "message cap" in captured.err
+        assert captured.out == ""
+
     def test_local_mode(self, example1_path, capsys):
         rc = main(["detect", str(example1_path), "--root", "2", "--mode", "local"])
         assert rc == 0

@@ -26,6 +26,7 @@ from mcsym import (
     evaluate_distributed,
     extend_mcs,
     group_closure,
+    generate,
     import_closure,
     is_equilibrium,
     is_local_symmetry,
@@ -35,6 +36,7 @@ from mcsym import (
     join,
     parse_system,
     rule,
+    TopologySpec,
 )
 
 from helpers import atoms_of, cyc, random_system, state_of, with_random_aux_layer
@@ -105,6 +107,19 @@ class TestApplicable:
         s = state_of(example1, {1: None, 2: None, 3: None})
         with pytest.raises(InsufficientBeliefState):
             applicable(example1.context(1), s)
+        # as a dict, an eps or a missing import is rejected alike
+        for comps in ({1: frozenset(), 2: None, 3: frozenset()}, {1: frozenset(), 3: frozenset()}):
+            with pytest.raises(InsufficientBeliefState):
+                applicable(example1.context(1), comps)
+
+    def test_dict_gives_the_same_heads_as_the_belief_state(self):
+        rng = random.Random(20261019)
+        for _ in range(40):
+            m = random_system(rng, max_contexts=4, max_atoms=3)
+            comps = {c.id: frozenset(a for a in c.alphabet if rng.random() < 0.5) for c in m.contexts}
+            s = BeliefState.make(comps)
+            for ctx in m.contexts:
+                assert applicable(ctx, comps) == applicable(ctx, s)
 
 
 class TestEquilibria:
@@ -183,6 +198,15 @@ class TestEquilibria:
             m = random_system(rng, max_contexts=3, max_atoms=3)
             for k in m.ids:
                 assert evaluate_distributed(m, k) == enumerate_partial_equilibria(m, k)
+        # larger closures: shared dependencies (diamonds), chords and cycles
+        for _ in range(6):
+            m = random_system(rng, min_contexts=4, max_contexts=5, max_atoms=3)
+            for k in m.ids:
+                assert evaluate_distributed(m, k) == enumerate_partial_equilibria(m, k)
+        cases = [(t, 4, seed) for t in ("diamond", "zigzag", "ring") for seed in range(4)]
+        for topo, n, seed in [*cases, ("house", 5, 0)]:
+            m = generate(TopologySpec(topo, n, seed, atoms_per_context=3))
+            assert evaluate_distributed(m, 1) == enumerate_partial_equilibria(m, 1)
 
     def test_distributed_matches_with_random_aux_layers(self):
         # the rewrite is not the only source of aux atoms: aux constraints that
