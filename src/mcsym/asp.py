@@ -2,10 +2,11 @@
 
 Rules have the shape ``h1 ; h2 :- b1, b2, not c1.`` with an optional head
 (an empty head is an integrity constraint) and an optional body (a fact).
-Atoms that do not occur in a program are never made true by it: answer sets
-are enumerated over the occurring atoms only, and everything else is false by
-default.  This keeps acceptability checks finite without changing which sets
-of atoms are acceptable.
+An answer set holds only atoms that occur in some rule head, and everything
+else is false by default.  So :func:`answer_sets` guesses head atoms only: a
+normal program guesses just those that also occur in a negative body, and
+completes each guess by a least model; a disjunctive program guesses all its
+head atoms and checks each guess by minimality.
 """
 
 from __future__ import annotations
@@ -51,10 +52,7 @@ def rule(head: Iterable[Atom] = (), pos: Iterable[Atom] = (), neg: Iterable[Atom
 
 
 def occurring_atoms(program: Iterable[Rule]) -> frozenset[Atom]:
-    occ: frozenset[Atom] = frozenset()
-    for r in program:
-        occ |= r.atoms()
-    return occ
+    return frozenset().union(*(r.atoms() for r in program))
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +206,37 @@ def is_answer_set(program: Sequence[Rule], x: frozenset[Atom]) -> bool:
 
 
 def answer_sets(program: Sequence[Rule], bound: int = 20) -> frozenset[frozenset[Atom]]:
-    """All answer sets, as subsets of the atoms occurring in the program.
+    """All answer sets of ``program``.
+
+    An answer set holds only head atoms.  For a normal program (at most one
+    head atom per rule) the reduct depends only on which head atoms that also
+    occur in a negative body are true, so each guess of those is completed to
+    the least model of the reduct it selects, which is kept when it agrees
+    with the guess and violates no constraint (Gelfond & Lifschitz 1988).  A
+    disjunctive program guesses every subset of its head atoms and checks it
+    with :func:`is_answer_set`.
 
     Raises :class:`BoundExceeded` when more than ``bound`` atoms occur.
     """
-    occ = sorted(occurring_atoms(program))
+    occ = occurring_atoms(program)
     if len(occ) > bound:
         raise BoundExceeded(f"program has {len(occ)} occurring atoms (bound {bound})")
+    heads = frozenset().union(*(r.head for r in program))
+    if any(len(r.head) > 1 for r in program):
+        return frozenset(x for x in map(frozenset, _subsets(heads)) if is_answer_set(program, x))
+    guessed = heads & frozenset().union(*(r.body_neg for r in program))
     out = []
-    for mask in range(1 << len(occ)):
-        x = frozenset(a for i, a in enumerate(occ) if mask >> i & 1)
-        if is_answer_set(program, x):
-            out.append(x)
+    for guess in map(frozenset, _subsets(guessed)):
+        # the reduct under the guess, with the negative bodies left in place
+        kept = [r for r in program if r.body_neg.isdisjoint(guess)]
+        lm = _least_model([r for r in kept if r.head], [r for r in kept if not r.head])
+        if lm is not None and lm & guessed == guess:
+            out.append(lm)
     return frozenset(out)
+
+
+def _subsets(atoms: frozenset[Atom]) -> Iterable[tuple[Atom, ...]]:
+    return (sub for k in range(len(atoms) + 1) for sub in combinations(atoms, k))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,13 @@ belief state can be decided before any auxiliary atom is known.
 The distributed solver runs one backtracking search over the import closure,
 assigning contexts in depth-first post-order over import edges.  Per call it
 builds a table of each member's local answer sets under every subset of its
-original bridge heads.  A member's candidate is accepted by a lookup in that
-table as soon as the member and its imports are assigned; the auxiliary
-atoms are completed and checked only at the leaves, where a whole assignment
-of the closure becomes a belief state.
+original bridge heads.  A member whose imports are all assigned before it
+takes its candidates straight from the table entry for its bridge input; any
+other member's candidate is accepted by a lookup in that table as soon as the
+member and its imports are assigned.  The auxiliary atoms are completed only
+at the leaves, where a whole assignment of the closure becomes a belief
+state, and the completion reports whether it violates an auxiliary
+constraint.  Nothing the search derives outlives the call.
 
 What the solver derives from a context is computed once, when first used, and
 kept on the context: its original alphabet as a set, its atoms with the
@@ -104,12 +107,7 @@ class Context:
 
     def occurring(self) -> frozenset[Atom]:
         """Atoms mentioned anywhere in this context's rules (foreign included)."""
-        occ: frozenset[Atom] = frozenset()
-        for r in self.kb:
-            occ |= r.atoms()
-        for b in self.br:
-            occ |= b.atoms()
-        return occ
+        return frozenset().union(*(r.atoms() for r in self.kb), *(b.atoms() for b in self.br))
 
 
 @dataclass(frozen=True)
@@ -335,17 +333,20 @@ def _candidate_atoms(ctx: Context, bound: int) -> list[Atom]:
     return cand
 
 
-def _complete_aux(m: System, assignment: dict[int, frozenset[Atom]]) -> dict[int, frozenset[Atom]]:
+def _complete_aux(
+    m: System, assignment: dict[int, frozenset[Atom]]
+) -> tuple[dict[int, frozenset[Atom]], bool]:
     """Deterministically extend original-atom components by auxiliary atoms.
 
-    Auxiliary rules are acyclic across the system, so iterating the per-context
-    stratified completion converges; the round cap guards the invariant.
+    Returns the completed components, and whether the final extension of
+    some member violates one of its auxiliary constraints.  Auxiliary rules
+    are acyclic across the system, so iterating the per-context stratified
+    completion converges; the round cap guards the invariant.
     """
     current = dict(assignment)
     total_aux = sum(len(m.context(i).aux) for i in current)
-    if total_aux == 0:
-        return current
     inputs: dict[int, frozenset[Atom]] = {}
+    violated: dict[int, bool] = {}
     for _ in range(total_aux + 2):
         changed = False
         state = dict(current)  # each round reads the previous round's sets
@@ -353,16 +354,17 @@ def _complete_aux(m: System, assignment: dict[int, frozenset[Atom]]) -> dict[int
             ctx = m.context(i)
             if not ctx.aux:
                 continue
-            heads = applicable(ctx, state)
+            heads = _fired(ctx.br, state)
             if inputs.get(i) == heads:
                 continue  # the same bridge input completes to the same set
             inputs[i] = heads
-            ext, _ = _extend_aux(ctx, current[i] & ctx.original, heads)
+            ext, bad = _extend_aux(ctx, current[i] & ctx.original, heads)
+            violated[i] = bool(bad)
             if ext != current[i]:
                 current[i] = ext
                 changed = True
         if not changed:
-            return current
+            return current, any(violated.values())
     raise InternalError("auxiliary completion did not converge")
 
 
@@ -385,7 +387,7 @@ def enumerate_partial_equilibria(
     eps_ids = [i for i in m.ids if i not in ids]
     for combo in product(*pools):
         assignment = dict(zip(ids, combo))
-        completed = _complete_aux(m, assignment)
+        completed, _ = _complete_aux(m, assignment)
         full = {**completed, **{i: None for i in eps_ids}}
         state = BeliefState.make(full)
         if _equilibrium_on(m, state, frozenset(ids)):
@@ -413,21 +415,34 @@ def _local_table(ctx: Context, bound: int) -> dict[frozenset[Atom], frozenset[fr
     }
 
 
+def _fired(rules: Sequence[BridgeRule], assignment: Mapping[int, frozenset[Atom]]) -> frozenset[Atom]:
+    """Heads of the ``rules`` applicable under ``assignment``, which defines every body context."""
+    return frozenset(
+        b.head
+        for b in rules
+        if all(a in assignment[a.context_id] for a in b.body_pos)
+        and not any(a in assignment[a.context_id] for a in b.body_neg)
+    )
+
+
 def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[BeliefState]:
     """Partial equilibria w.r.t. C_k, by one backtracking search over IC(k).
 
     Equivalent to :func:`enumerate_partial_equilibria`.  The members are
     assigned in depth-first post-order over import edges from ``k``, so
     outside import cycles a context comes after everything it imports.  Each
-    member's candidates are the union of its table of local answer sets per
-    bridge input (see :func:`_local_table`), built once per call.  At the
-    first depth where a member and all its imports are assigned, its
-    candidate must be in ``table[applicable(ctx, assignment) & ctx.original]``.
-    Bridge rules with original heads read no auxiliary atoms (:class:`System`
-    rejects any that do), so these heads are the same before and after
-    completion and the lookup decides the original part exactly.  At a leaf
-    the auxiliary atoms are completed, and only members that carry them are
-    checked again, in full with :func:`_acceptable`.
+    member has a table of local answer sets per bridge input (see
+    :func:`_local_table`), built once per call.  Only bridge rules with
+    original heads feed the table: :class:`System` rejects any that read
+    auxiliary atoms, so their heads are the same before and after completion
+    and a table lookup decides the original part exactly.
+
+    A member whose imports are all assigned before it (so not itself) draws
+    its candidates from the table entry for its bridge input.  Any other member draws them from the union of its table, and is
+    checked by a lookup at the first depth where it and all its imports are
+    assigned.  At a leaf the auxiliary atoms are completed, and the state is
+    kept when no member's completion violates an auxiliary constraint; when
+    no member carries auxiliary atoms there is nothing to complete.
     """
     order: list[int] = []
     seen: set[int] = set()
@@ -441,15 +456,23 @@ def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[Belief
 
     visit(k)
     members = [m.context(i) for i in order]
+    position = {i: d for d, i in enumerate(order)}
     tables = {c.id: _local_table(c, bound) for c in members}
+    rules = {c.id: [b for b in c.br if b.head in c.original] for c in members}
+    # per depth: the member drawn from its table entry, or None, and the lookups
+    direct: list[Context | None] = [None] * len(order)
+    checks_at: list[list[Context]] = [[] for _ in members]
+    for d, c in enumerate(members):
+        last = max((position[j] for j in c.imports), default=-1)
+        if last < d:  # so it does not import itself either
+            direct[d] = c
+        else:
+            checks_at[max(last, d)].append(c)
     pools = [
         sorted(frozenset().union(*tables[c.id].values()), key=lambda s: tuple(sorted(a.name for a in s)))
         for c in members
     ]
-    checks_at: list[list[Context]] = [[] for _ in members]
-    for c in members:
-        checks_at[max(order.index(j) for j in c.imports | {c.id})].append(c)
-    with_aux = [c for c in members if c.aux]
+    has_aux = any(c.aux for c in members)
     eps = {i: None for i in m.ids if i not in seen}
     out: list[BeliefState] = []
     # entries past the current depth are stale, and no check reads them
@@ -457,14 +480,15 @@ def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[Belief
 
     def search(depth: int) -> None:
         if depth == len(order):
-            completed = _complete_aux(m, assignment)
-            if all(_acceptable(c, completed[c.id], applicable(c, completed)) for c in with_aux):
+            completed, violated = _complete_aux(m, assignment) if has_aux else (assignment, False)
+            if not violated:
                 out.append(BeliefState.make({**completed, **eps}))
             return
-        for cand in pools[depth]:
+        d = direct[depth]
+        for cand in tables[d.id][_fired(rules[d.id], assignment)] if d else pools[depth]:
             assignment[order[depth]] = cand
             if all(
-                assignment[c.id] in tables[c.id][applicable(c, assignment) & c.original]
+                assignment[c.id] in tables[c.id][_fired(rules[c.id], assignment)]
                 for c in checks_at[depth]
             ):
                 search(depth + 1)

@@ -45,6 +45,7 @@ def random_system(
     twin_bias: float = 0.6,
     allow_cycles: bool = True,
     edge_probability: float = 0.5,
+    self_reads: bool = False,
 ) -> System:
     """A random well-formed system, biased toward symmetric structure.
 
@@ -52,7 +53,8 @@ def random_system(
     atoms get the mirrored rules ``x :- not y.`` / ``y :- not x.`` and are kept
     out of other local rules, and importers may reference both twins with the
     same head and sign.  This makes nontrivial symmetry groups common while
-    everything else stays arbitrary.
+    everything else stays arbitrary.  With ``self_reads``, a context may also
+    import itself: its bridge rules then read its own atoms.
     """
     n = rng.randint(min_contexts, max_contexts)
     alphabets = {
@@ -67,7 +69,7 @@ def random_system(
     edges: set[tuple[int, int]] = set()  # (importer, exporter)
     for k in range(1, n + 1):
         for j in range(1, n + 1):
-            if j == k:
+            if j == k and not self_reads:
                 continue
             if not allow_cycles and j > k:
                 continue

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsym import (
@@ -254,3 +254,37 @@ def test_symmetry_transport(prog):
     found = answer_sets(mirrored)
     for s in found:
         assert apply(pi, s) in found
+
+
+ATOMS6 = tuple(Atom(1, f"p{i}") for i in range(6))
+
+
+@st.composite
+def normal_programs(draw):
+    """Normal programs over up to 6 atoms with up to 8 rules.
+
+    The atoms past ``n_heads`` occur only in bodies, so some negative bodies
+    name atoms no rule can derive.  A program may start with a negative loop
+    over its head atoms: even (length 2 or 4) or odd (length 1 or 3).
+    """
+    n_heads = draw(st.integers(1, 6))
+    heads = ATOMS6[:n_heads]
+    rules = []
+    loop = draw(st.sampled_from([(), (2, 4), (1, 3)]))
+    lengths = [n for n in loop if n <= n_heads]
+    if lengths:
+        cycle = draw(st.permutations(heads))[: draw(st.sampled_from(lengths))]
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            rules.append(rule(head=[x], neg=[y]))
+    for _ in range(draw(st.integers(0, 8 - len(rules)))):
+        head = draw(st.sampled_from([(), *((h,) for h in heads)]))  # () is a constraint
+        pos = draw(st.sets(st.sampled_from(ATOMS6), max_size=2))
+        neg = draw(st.sets(st.sampled_from(ATOMS6), max_size=2))
+        rules.append(rule(head=head, pos=pos, neg=neg))
+    return tuple(rules)
+
+
+@settings(max_examples=300)
+@given(normal_programs())
+def test_normal_programs_agree_with_naive_oracle(prog):
+    assert answer_sets(prog) == naive_answer_sets(prog)

@@ -50,6 +50,28 @@ class TestGen:
         assert main(["gen", "--topology", "house", "--n", "6", "--seed", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--seed", "-1"],
+            ["--exports", "0"],
+            ["--kb-rules", "0"],
+            ["--body", "0"],
+            ["--body", "-1"],
+            ["--pair-probability", "3"],
+            ["--pair-probability", "-0.5"],
+        ],
+    )
+    def test_bad_generator_parameters_exit_2(self, extra, capsys):
+        argv = ["gen", "--topology", "ring", "--n", "3", "--seed", "0"]
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_negative_bench_seed_exits_2(self, capsys):
+        assert main(["bench", "--topology", "ring", "--n", "3", "--seeds", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestDetect:
     def test_whole_set_with_cycles(self, example1_path, capsys):

@@ -217,6 +217,24 @@ class TestEquilibria:
             for k in m.ids:
                 assert evaluate_distributed(m, k) == enumerate_partial_equilibria(m, k)
 
+    def test_distributed_matches_with_self_reading_bridges_and_cycles(self):
+        # members that import themselves, or import a context assigned after
+        # them, are filtered by lookup; the others draw from their table
+        rng = random.Random(20261019)
+        self_reading = cyclic = 0
+        for n in range(150):
+            m = random_system(rng, max_contexts=3, max_atoms=3, self_reads=True)
+            if n % 2:
+                m = with_random_aux_layer(rng, m)
+            self_reading += any(c.id in c.imports for c in m.contexts)
+            cyclic += any(
+                i != j and i in import_closure(m, j) and j in import_closure(m, i)
+                for i in m.ids for j in m.ids
+            )
+            for k in m.ids:
+                assert evaluate_distributed(m, k) == enumerate_partial_equilibria(m, k)
+        assert self_reading > 50 and cyclic > 25
+
     def test_rule_mixing_original_head_and_aux_fails_when_solved(self):
         # the kb split is checked when first used, not when the system is built
         p, x = Atom(1, "p"), Atom(1, "x")
