@@ -146,15 +146,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        items = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
+        items = []
+    if not items:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return items
 
 
 def _choice_list(choices: tuple[str, ...]):
     def parse(text: str) -> list[str]:
         items = [x.strip() for x in text.split(",") if x.strip()]
-        if any(x not in choices for x in items):
+        if not items or any(x not in choices for x in items):
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated values from {', '.join(choices)}, got {text!r}"
             )

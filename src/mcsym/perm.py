@@ -1,7 +1,9 @@
 """Finite permutations over context-qualified atoms.
 
 Atoms are qualified by the integer id of the context whose alphabet declares
-them, so alphabets of different contexts are disjoint by construction.  A
+them, so alphabets of different contexts are disjoint by construction.  An
+atom is a ``(context_id, name)`` named tuple: it hashes, compares and sorts
+as that tuple, and compares equal to a plain tuple with the same fields.  A
 :class:`Permutation` carries an explicit finite domain; atoms outside the
 domain are treated as untouched by :func:`apply`, but two permutations with
 different domains are *different values* even if they move the same atoms.
@@ -19,14 +21,12 @@ defined ones.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BoundExceeded, InternalError, ParseError
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class Atom(NamedTuple):
     """An atom qualified by the id of the declaring context."""
 
     context_id: int
@@ -42,22 +42,22 @@ class Atom:
 class Permutation:
     """An immutable bijection of a finite set of atoms onto itself."""
 
-    __slots__ = ("_domain", "_map", "_hash")
+    __slots__ = ("_domain", "_map", "_support", "_hash")
 
     def __init__(self, mapping: Mapping[Atom, Atom], domain: Iterable[Atom] | None = None):
-        m = dict(mapping)
-        dom = frozenset(m) if domain is None else frozenset(domain)
-        if not set(m) <= dom:
+        dom = frozenset(mapping) if domain is None else frozenset(domain)
+        if not dom.issuperset(mapping):
             raise InternalError("permutation maps atoms outside its domain")
-        for a in dom:
-            m.setdefault(a, a)
-        if not set(m.values()) <= dom:
+        m = {a: b for a, b in mapping.items() if a != b}  # the rest of the domain is fixed
+        images = set(m.values())
+        if not dom.issuperset(images):
             raise InternalError("permutation image leaves its domain")
-        if len(set(m.values())) != len(m):
+        if m.keys() != images:  # else a moved atom's image is fixed or hit twice
             raise InternalError("permutation mapping is not injective")
         object.__setattr__(self, "_domain", dom)
         object.__setattr__(self, "_map", m)
-        object.__setattr__(self, "_hash", hash((dom, frozenset((a, b) for a, b in m.items() if a != b))))
+        object.__setattr__(self, "_support", frozenset(m))
+        object.__setattr__(self, "_hash", hash((dom, frozenset(m.items()))))
 
     @classmethod
     def identity(cls, domain: Iterable[Atom]) -> "Permutation":
@@ -69,10 +69,10 @@ class Permutation:
 
     @property
     def support(self) -> frozenset[Atom]:
-        return frozenset(a for a, b in self._map.items() if a != b)
+        return self._support
 
     def is_identity(self) -> bool:
-        return all(a == b for a, b in self._map.items())
+        return not self._map
 
     def __call__(self, atom: Atom) -> Atom:
         return self._map.get(atom, atom)
@@ -107,9 +107,8 @@ class Permutation:
         """
         seen: set[Atom] = set()
         out: list[tuple[Atom, ...]] = []
-        for start in sorted(self._domain):
-            if start in seen or self._map[start] == start:
-                seen.add(start)
+        for start in sorted(self._support):
+            if start in seen:
                 continue
             cyc = [start]
             seen.add(start)
@@ -125,8 +124,9 @@ class Permutation:
 def apply(pi: Permutation, obj):
     """Apply ``pi`` to an atom or, structurally, to a compound value.
 
-    Sets and tuples map elementwise (preserving their type); other objects may
-    opt in by providing ``_apply_perm``.  Atoms outside the domain are fixed.
+    Sets and tuples map elementwise (preserving their type); an atom is a
+    tuple too, so it is matched first.  Other objects may opt in by providing
+    ``_apply_perm``.  Atoms outside the domain are fixed.
     """
     if isinstance(obj, Atom):
         return pi(obj)
@@ -144,8 +144,8 @@ def compose(pi: Permutation, sigma: Permutation) -> Permutation:
 
     Domains are united; each factor fixes atoms outside its own domain.
     """
-    dom = pi.domain | sigma.domain
-    return Permutation({a: sigma(pi(a)) for a in dom}, domain=dom)
+    moved = pi.support | sigma.support
+    return Permutation({a: sigma(pi(a)) for a in moved}, domain=pi.domain | sigma.domain)
 
 
 def join(pi: Permutation, sigma: Permutation) -> Permutation | None:
@@ -157,21 +157,35 @@ def join(pi: Permutation, sigma: Permutation) -> Permutation | None:
     for a in pi.domain & sigma.domain:
         if pi(a) != sigma(a):
             return None
-    merged = {a: pi(a) for a in pi.domain}
-    merged.update((a, sigma(a)) for a in sigma.domain)
-    return Permutation(merged)
+    return Permutation({**pi._map, **sigma._map}, domain=pi.domain | sigma.domain)
 
 
 def join_sets(pis: Iterable[Permutation], sigmas: Iterable[Permutation]) -> frozenset[Permutation]:
-    """All defined pairwise joins between two sets of permutations."""
-    sigmas = list(sigmas)
+    """All defined pairwise joins between two sets of permutations.
+
+    A hash join: for each pair of domains, the members of ``sigmas`` on the
+    one are indexed by their images of the atoms it shares with the other,
+    and each member of ``pis`` on the other looks up its partners once.
+    """
     out: set[Permutation] = set()
-    for p in pis:
-        for s in sigmas:
-            j = join(p, s)
-            if j is not None:
-                out.add(j)
+    by_domain = _by_domain(sigmas)
+    for pdom, ps in _by_domain(pis).items():
+        for sdom, ss in by_domain.items():
+            shared, dom = tuple(pdom & sdom), pdom | sdom
+            index: dict[tuple[Atom, ...], list[Permutation]] = {}
+            for s in ss:
+                index.setdefault(tuple(map(s._map.get, shared, shared)), []).append(s)
+            for p in ps:
+                for s in index.get(tuple(map(p._map.get, shared, shared)), ()):
+                    out.add(Permutation({**p._map, **s._map}, domain=dom))
     return frozenset(out)
+
+
+def _by_domain(perms: Iterable[Permutation]) -> dict[frozenset[Atom], list[Permutation]]:
+    groups: dict[frozenset[Atom], list[Permutation]] = {}
+    for p in perms:
+        groups.setdefault(p.domain, []).append(p)
+    return groups
 
 
 def orbit(perms: Iterable[Permutation] | Permutation, atom: Atom) -> frozenset[Atom]:

@@ -232,6 +232,24 @@ class TestBench:
         assert kinds.count("aggregate") == 1
         assert all(int(r["after"]) <= int(r["before"]) for r in rows if r["kind"] == "instance")
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--seeds", ""],
+            ["--seeds", ","],
+            ["--seeds", "0", "--n", ""],
+            ["--seeds", "0", "--topology", ""],
+            ["--seeds", "0", "--mode", ""],
+            ["--seeds", "0", "--mode", " , "],
+        ],
+    )
+    def test_empty_list_exits_2(self, extra, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--topology", "ring", "--n", "2", *extra])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "expected comma-separated" in err
+
     def test_text_grid(self, capsys):
         rc = main(["bench", "--topology", "ring", "--n", "2", "--seeds", "0", "--mode", "none"])
         assert rc == 0
@@ -259,3 +277,12 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "PERMSET 2 complete"
+
+    def test_package_entry_point(self, example1_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcsym", "detect", str(example1_path), "--root", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == DETECT_ROOT1

@@ -13,6 +13,7 @@ from mcsym import (
     BeliefState,
     BoundExceeded,
     BridgeRule,
+    InternalError,
     ParseError,
     Permutation,
     Rule,
@@ -369,3 +370,145 @@ def test_reduce_irredundant_matches_reference(gens, cap):
     except BoundExceeded:
         return
     assert reduce_irredundant(gens, cap=cap) == want
+
+
+# ---------------------------------------------------------------------------
+# the hash join against the nested loop over all pairs
+
+THREE_CONTEXTS = (Atom(1, "u"), Atom(1, "v"), Atom(2, "x"), Atom(2, "y"), Atom(3, "p"), Atom(3, "q"))
+
+
+@st.composite
+def join_operands(draw):
+    """A list of permutations on a few shared domains (possibly empty,
+    overlapping or disjoint), some of them identities."""
+    domains = draw(st.lists(st.frozensets(st.sampled_from(THREE_CONTEXTS)), min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(0, 5))):
+        dom = draw(st.sampled_from(domains))
+        moved = [] if not dom or draw(st.booleans()) else draw(st.lists(st.sampled_from(sorted(dom)), unique=True))
+        out.append(Permutation(dict(zip(moved, draw(st.permutations(moved)))), domain=dom))
+    return out
+
+
+def nested_loop_join_sets(ps, qs):
+    return frozenset(j for p in ps for q in qs if (j := join(p, q)) is not None)
+
+
+@settings(max_examples=300)
+@given(join_operands(), join_operands())
+def test_join_sets_matches_nested_loop(ps, qs):
+    assert join_sets(ps, qs) == nested_loop_join_sets(ps, qs)
+
+
+def test_join_sets_mixed_domains():
+    disjoint = perm({h: h}, {h})
+    ps = [ABDE, Permutation.identity(A12), disjoint]
+    qs = [FG, ABDEFG, Permutation.identity({a, d}), disjoint]
+    joined = join_sets(ps, qs)
+    assert joined == nested_loop_join_sets(ps, qs)
+    assert join(ABDE, disjoint) in joined and join(disjoint, FG) in joined
+    assert join_sets(ps, []) == join_sets([], qs) == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# the kernel's invariant checks and its canonical cycle form
+
+
+class TestPermutationChecks:
+    def test_key_outside_domain(self):
+        with pytest.raises(InternalError, match="maps atoms outside its domain"):
+            Permutation({a: b, b: a}, domain={a})
+
+    def test_image_outside_domain(self):
+        with pytest.raises(InternalError, match="image leaves its domain"):
+            Permutation({a: b}, domain={a})
+
+    def test_not_injective(self):
+        with pytest.raises(InternalError, match="not injective"):
+            Permutation({a: b}, domain={a, b})
+        with pytest.raises(InternalError, match="not injective"):
+            Permutation({a: c, b: c, c: a})
+
+    def test_moved_atoms(self):
+        p = Permutation({a: b, b: a, c: c}, domain={a, b, c, d})
+        assert p.support == {a, b} and not p.is_identity()
+        assert p == Permutation({a: b, b: a}, domain={a, b, c, d})
+        assert hash(p) == hash((frozenset({a, b, c, d}), frozenset({(a, b), (b, a)})))
+        assert Permutation({c: c}, domain={c, d}).is_identity()
+
+
+def reference_cycles(p):
+    """The canonical cycles by a walk over the whole sorted domain."""
+    seen: set[Atom] = set()
+    out: list[tuple[Atom, ...]] = []
+    for start in sorted(p.domain):
+        if start in seen or p(start) == start:
+            seen.add(start)
+            continue
+        cyc = [start]
+        seen.add(start)
+        nxt = p(start)
+        while nxt != start:
+            cyc.append(nxt)
+            seen.add(nxt)
+            nxt = p(nxt)
+        out.append(tuple(cyc))
+    return out
+
+
+def reference_emit_cycles(p):
+    ids = {a.context_id for a in p.domain}
+    qualify = len(ids) > 1
+    parts = []
+    for cyc in reference_cycles(p):
+        names = [a.qualified() if qualify else a.name for a in cyc]
+        parts.append("(" + " ".join(names) + ")")
+    return "".join(parts)
+
+
+@st.composite
+def perms_over_contexts(draw):
+    """A permutation of one to three contexts' atoms, possibly the identity."""
+    k = draw(st.integers(1, 3))
+    dom = sorted(x for x in THREE_CONTEXTS + (Atom(1, "w"), Atom(2, "z")) if x.context_id <= k)
+    moved = [] if draw(st.integers(0, 4)) == 0 else draw(st.lists(st.sampled_from(dom), unique=True))
+    return Permutation(dict(zip(moved, draw(st.permutations(moved)))), domain=dom)
+
+
+@settings(max_examples=200)
+@given(perms_over_contexts())
+def test_cycles_match_sorted_domain_walk(p):
+    assert p.cycles() == reference_cycles(p)
+    assert emit_cycles(p) == reference_emit_cycles(p)
+
+
+# ---------------------------------------------------------------------------
+# atoms are plain (context_id, name) values
+
+
+class TestAtomValue:
+    def test_order_follows_context_then_name(self):
+        atoms = [Atom(2, "a"), Atom(1, "b"), Atom(1, "a"), Atom(10, "a")]
+        assert sorted(atoms) == [Atom(1, "a"), Atom(1, "b"), Atom(2, "a"), Atom(10, "a")]
+        assert sorted(atoms) == sorted(atoms, key=lambda x: (x.context_id, x.name))
+
+    def test_hash_and_equality_of_the_pair(self):
+        assert hash(Atom(3, "x")) == hash((3, "x"))
+        assert Atom(3, "x") == (3, "x")
+
+    def test_repr_and_str(self):
+        assert repr(Atom(1, "a")) == "Atom(context_id=1, name='a')"
+        assert str(Atom(1, "a")) == "a" and Atom(1, "a").qualified() == "1.a"
+
+    def test_fields_are_read_only(self):
+        x = Atom(1, "a")
+        with pytest.raises(AttributeError):
+            x.name = "b"
+        with pytest.raises(AttributeError):
+            x.context_id = 2
+
+    def test_apply_maps_an_atom_not_its_fields(self):
+        assert apply(ABDE, a) == b
+        assert apply(ABDE, (a, d)) == (b, e)
+        assert apply(ABDE, ((a, h), frozenset({d}))) == ((b, h), frozenset({e}))
