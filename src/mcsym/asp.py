@@ -253,16 +253,32 @@ def extend_stratified(
     acyclically, else this raises).  Returns the extended set together with
     the violated integrity constraints of the auxiliary program.
     """
+    return evaluate_stratified(x, stratify(aux_program))
+
+
+Strata = tuple[tuple[tuple[Atom, frozenset[Atom], frozenset[Atom]], ...], tuple[Rule, ...]]
+
+
+def stratify(aux_program: Sequence[Rule]) -> Strata:
+    """The evaluation order of an acyclic auxiliary program.
+
+    Returns its proper rules as ``(head, body_pos, body_neg)``, ordered so
+    that every head comes after the heads it depends on, and its integrity
+    constraints in program order.  Raises :class:`InternalError` on a
+    disjunctive rule or a cyclic dependency.
+    """
     heads: set[Atom] = set()
     for r in aux_program:
         if len(r.head) > 1:
             raise InternalError("auxiliary rules must have at most one head atom")
         heads |= r.head
     deps: dict[Atom, set[Atom]] = {h: set() for h in heads}
+    by_head: dict[Atom, list[Rule]] = {h: [] for h in heads}
     for r in aux_program:
         for h in r.head:
             deps[h] |= (r.body_pos | r.body_neg) & heads
-    order: list[Atom] = []
+            by_head[h].append(r)
+    order: list[tuple[Atom, frozenset[Atom], frozenset[Atom]]] = []
     state: dict[Atom, int] = {}
 
     def visit(a: Atom) -> None:
@@ -274,23 +290,19 @@ def extend_stratified(
         for b in sorted(deps[a]):
             visit(b)
         state[a] = 2
-        order.append(a)
+        order.extend((a, r.body_pos, r.body_neg) for r in by_head[a])
 
     for h in sorted(heads):
         visit(h)
+    return tuple(order), tuple(r for r in aux_program if r.is_constraint())
 
+
+def evaluate_stratified(x: frozenset[Atom], strata: Strata) -> tuple[frozenset[Atom], tuple[Rule, ...]]:
+    """:func:`extend_stratified` over a program already put in order by :func:`stratify`."""
+    rules, constraints = strata
     true = set(x)
-    by_head: dict[Atom, list[Rule]] = {h: [] for h in heads}
-    for r in aux_program:
-        for h in r.head:
-            by_head[h].append(r)
-    for h in order:
-        for r in by_head[h]:
-            if r.body_pos <= true and not (r.body_neg & true):
-                true.add(h)
-                break
+    for h, pos, neg in rules:
+        if h not in true and pos <= true and true.isdisjoint(neg):
+            true.add(h)
     fz = frozenset(true)
-    violated = tuple(
-        r for r in aux_program if r.is_constraint() and r.body_pos <= fz and not (r.body_neg & fz)
-    )
-    return fz, violated
+    return fz, tuple(r for r in constraints if r.body_pos <= fz and fz.isdisjoint(r.body_neg))

@@ -34,6 +34,7 @@ from .mcs import (
     BridgeRule,
     Context,
     System,
+    _check_bound,
     evaluate_distributed,
     import_closure,
 )
@@ -283,8 +284,10 @@ def run_pipeline(
     """Detect symmetries from ``root``, rewrite, and solve before/after.
 
     ``mode`` chooses the breakers as :func:`select_breakers` does;
-    ``mode="none"`` is a baseline run that skips the rewrite.
+    ``mode="none"`` is a baseline run that skips the rewrite.  A negative
+    ``bound`` is a :class:`ParseError`, raised before any work.
     """
+    _check_bound(bound)
     order = order or default_order(m)
     t0 = time.perf_counter()
     breakers, group_size = select_breakers(m, root, mode, budget)

@@ -16,18 +16,22 @@ belief state can be decided before any auxiliary atom is known.
 
 The distributed solver runs one backtracking search over the import closure,
 assigning contexts in depth-first post-order over import edges.  Per call it
-builds a table of each member's local answer sets under every subset of its
-original bridge heads.  A member whose imports are all assigned before it
-takes its candidates straight from the table entry for its bridge input; any
-other member's candidate is accepted by a lookup in that table as soon as the
-member and its imports are assigned.  The auxiliary atoms are completed only
-at the leaves, where a whole assignment of the closure becomes a belief
-state, and the completion reports whether it violates an auxiliary
-constraint.  Nothing the search derives outlives the call.
+numbers each member's original atoms as bits, so a belief set's original
+part is an int mask, and gives each member a table of its local answer sets
+per subset of its original bridge heads, filled on demand.  A member whose
+imports are all assigned before it takes its candidates straight from the
+table entry for its bridge input, which is computed when first read; any
+other member draws from all its entries, and its candidate is accepted by a
+lookup in that table as soon as the member and its imports are assigned.
+The auxiliary atoms are completed only at the leaves, where a whole
+assignment of the closure becomes a belief state, and the completion
+reports whether it violates an auxiliary constraint.  Nothing the search
+derives outlives the call: the tables, masks and bit numbering are local to it.
 
 What the solver derives from a context is computed once, when first used, and
 kept on the context: its original alphabet as a set, its atoms with the
-auxiliary extension, the split knowledge base and its import neighbourhood.
+auxiliary extension, the split knowledge base, its auxiliary rules in
+evaluation order and its import neighbourhood.
 Validating a system derives nothing that is kept.
 """
 
@@ -40,7 +44,7 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import asp
-from .asp import Rule, extend_stratified, is_answer_set
+from .asp import Rule, evaluate_stratified, is_answer_set
 from .errors import BoundExceeded, InsufficientBeliefState, InternalError, ParseError
 from .perm import Atom, Permutation
 
@@ -99,6 +103,11 @@ class Context:
                     f"context {self.id}: rule mixes original head with auxiliary atoms"
                 )
         return tuple(bottom), tuple(auxpart)
+
+    @cached_property
+    def aux_strata(self) -> asp.Strata:
+        """The auxiliary part of the kb in evaluation order (see :func:`asp.stratify`)."""
+        return asp.stratify(self.split_kb[1])
 
     @cached_property
     def imports(self) -> frozenset[int]:
@@ -283,9 +292,10 @@ def _extend_aux(
     """Complete the original belief set ``x`` by the context's auxiliary part.
 
     Returns the extended set and the violated auxiliary constraints.  Bridge
-    heads are local atoms, so those outside the original alphabet are aux.
+    heads are local atoms, so those outside the original alphabet are aux,
+    and they hold before any auxiliary rule is evaluated.
     """
-    return extend_stratified(x, [*ctx.split_kb[1], *_facts(heads - ctx.original)])
+    return evaluate_stratified(x | (heads - ctx.original), ctx.aux_strata)
 
 
 def _acceptable(ctx: Context, s_i: frozenset[Atom], heads: frozenset[Atom]) -> bool:
@@ -333,6 +343,12 @@ def _candidate_atoms(ctx: Context, bound: int) -> list[Atom]:
     return cand
 
 
+def _check_bound(bound: int) -> None:
+    """Reject a negative ``bound`` as malformed input."""
+    if bound < 0:
+        raise ParseError(f"bound must be at least 0, got {bound}")
+
+
 def _complete_aux(
     m: System, assignment: dict[int, frozenset[Atom]]
 ) -> tuple[dict[int, frozenset[Atom]], bool]:
@@ -376,8 +392,10 @@ def enumerate_partial_equilibria(
     With ``k`` given: partial equilibria with respect to C_k (eps outside
     IC(k)).  With ``k=None``: equilibria of the whole system.  Candidates
     range over subsets of each context's occurring original atoms; auxiliary
-    atoms are completed deterministically.
+    atoms are completed deterministically.  A negative ``bound`` is a
+    :class:`ParseError`.
     """
+    _check_bound(bound)
     ids = sorted(import_closure(m, k)) if k is not None else list(m.ids)
     pools: list[list[frozenset[Atom]]] = []
     for i in ids:
@@ -399,20 +417,40 @@ def enumerate_partial_equilibria(
 # distributed evaluation
 
 
-def _local_table(ctx: Context, bound: int) -> dict[frozenset[Atom], frozenset[frozenset[Atom]]]:
+class _LocalTable(dict):
+    """A member's local answer sets per bridge input, each computed when first read.
+
+    Atoms are the context's sorted original atoms, and atom ``atoms[b]`` is
+    bit ``b`` of a mask.  A key is the mask of a set of original bridge heads;
+    its entry maps the mask of each answer set of the original kb plus those
+    heads to the set itself.
+    """
+
+    def __init__(self, bottom: tuple[Rule, ...], atoms: list[Atom], bound: int) -> None:
+        super().__init__()
+        self.bottom, self.atoms, self.bound = bottom, atoms, bound
+        self.bit = {a: 1 << b for b, a in enumerate(atoms)}
+
+    def __missing__(self, heads: int) -> dict[int, frozenset[Atom]]:
+        facts = _facts(a for b, a in enumerate(self.atoms) if heads >> b & 1)
+        entry = self[heads] = {
+            sum(self.bit[a] for a in s): s
+            for s in asp.answer_sets([*self.bottom, *facts], bound=self.bound)
+        }
+        return entry
+
+
+def _local_table(ctx: Context, bound: int) -> _LocalTable:
     """The answer sets of the original kb plus each subset of the original bridge heads.
 
     A belief set's original part is acceptable under bridge input ``heads``
-    exactly when it is in ``table[heads & ctx.original]``.
+    exactly when its mask is in ``table[mask of heads & ctx.original]``.  The
+    table starts empty and computes an entry the first time it is read; the
+    candidate atoms are checked against ``bound`` here, before any entry.
     """
     bottom, _ = ctx.split_kb
     _candidate_atoms(ctx, bound)  # raises past the bound
-    heads = sorted({b.head for b in ctx.br} & ctx.original)
-    return {
-        frozenset(hs): asp.answer_sets([*bottom, *_facts(hs)], bound=bound)
-        for r in range(len(heads) + 1)
-        for hs in combinations(heads, r)
-    }
+    return _LocalTable(bottom, sorted(ctx.original), bound)
 
 
 def _fired(rules: Sequence[BridgeRule], assignment: Mapping[int, frozenset[Atom]]) -> frozenset[Atom]:
@@ -425,6 +463,22 @@ def _fired(rules: Sequence[BridgeRule], assignment: Mapping[int, frozenset[Atom]
     )
 
 
+_Compiled = tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
+
+
+def _fired_mask(rules: _Compiled, assignment: list[int]) -> int:
+    """The mask of the heads of compiled ``rules`` applicable under the member masks."""
+    heads = 0
+    for bit, body in rules:
+        for p, pos, neg in body:
+            x = assignment[p]
+            if x & pos != pos or x & neg:
+                break
+        else:
+            heads |= bit
+    return heads
+
+
 def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[BeliefState]:
     """Partial equilibria w.r.t. C_k, by one backtracking search over IC(k).
 
@@ -432,18 +486,24 @@ def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[Belief
     assigned in depth-first post-order over import edges from ``k``, so
     outside import cycles a context comes after everything it imports.  Each
     member has a table of local answer sets per bridge input (see
-    :func:`_local_table`), built once per call.  Only bridge rules with
-    original heads feed the table: :class:`System` rejects any that read
-    auxiliary atoms, so their heads are the same before and after completion
-    and a table lookup decides the original part exactly.
+    :func:`_local_table`), made per call and filled as the search reads it.
+    Only bridge rules with original heads feed the table: :class:`System`
+    rejects any that read auxiliary atoms, so their heads are the same before
+    and after completion and a table lookup decides the original part exactly.
 
-    A member whose imports are all assigned before it (so not itself) draws
-    its candidates from the table entry for its bridge input.  Any other member draws them from the union of its table, and is
-    checked by a lookup at the first depth where it and all its imports are
-    assigned.  At a leaf the auxiliary atoms are completed, and the state is
-    kept when no member's completion violates an auxiliary constraint; when
-    no member carries auxiliary atoms there is nothing to complete.
+    The search works on masks of each member's original atoms.  Each bridge
+    rule with an original head is compiled once per call into its head's bit
+    and, per body context, the member's position with a positive and a
+    negative mask.  A member whose imports are all assigned before it (so not
+    itself) draws its candidates from the table entry for its bridge input,
+    and reads no other entry.  Any other member draws them from the union of
+    its whole table, and is checked by a lookup at the first depth where it
+    and all its imports are assigned.  At a leaf the auxiliary atoms are
+    completed, and the state is kept when no member's completion violates an
+    auxiliary constraint; when no member carries auxiliary atoms there is
+    nothing to complete.  A negative ``bound`` is a :class:`ParseError`.
     """
+    _check_bound(bound)
     order: list[int] = []
     seen: set[int] = set()
 
@@ -457,39 +517,64 @@ def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[Belief
     visit(k)
     members = [m.context(i) for i in order]
     position = {i: d for d, i in enumerate(order)}
-    tables = {c.id: _local_table(c, bound) for c in members}
-    rules = {c.id: [b for b in c.br if b.head in c.original] for c in members}
-    # per depth: the member drawn from its table entry, or None, and the lookups
-    direct: list[Context | None] = [None] * len(order)
-    checks_at: list[list[Context]] = [[] for _ in members]
+    tables = [_local_table(c, bound) for c in members]
+
+    def compile_rule(d: int, b: BridgeRule) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        masks: dict[int, list[int]] = {}
+        for sign, atoms in enumerate((b.body_pos, b.body_neg)):
+            for a in atoms:
+                p = position[a.context_id]
+                masks.setdefault(p, [0, 0])[sign] |= tables[p].bit[a]
+        return tables[d].bit[b.head], tuple((p, pos, neg) for p, (pos, neg) in masks.items())
+
+    rules = [
+        tuple(compile_rule(d, b) for b in c.br if b.head in c.original)
+        for d, c in enumerate(members)
+    ]
+    # per depth: the union of the member's entries if it is checked by
+    # lookup, else None, and the members checked at that depth
+    pools: list[dict[int, frozenset[Atom]] | None] = [None] * len(order)
+    checks_at: list[list[int]] = [[] for _ in members]
     for d, c in enumerate(members):
         last = max((position[j] for j in c.imports), default=-1)
         if last < d:  # so it does not import itself either
-            direct[d] = c
-        else:
-            checks_at[max(last, d)].append(c)
-    pools = [
-        sorted(frozenset().union(*tables[c.id].values()), key=lambda s: tuple(sorted(a.name for a in s)))
-        for c in members
-    ]
+            continue
+        checks_at[max(last, d)].append(d)
+        bits = {bit for bit, _ in rules[d]}
+        pools[d] = {
+            mask: s
+            for r in range(len(bits) + 1)
+            for hs in combinations(bits, r)
+            for mask, s in tables[d][sum(hs)].items()
+        }
     has_aux = any(c.aux for c in members)
-    eps = {i: None for i in m.ids if i not in seen}
+    ids = m.ids
+    slots = [ids.index(i) for i in order]
     out: list[BeliefState] = []
-    # entries past the current depth are stale, and no check reads them
-    assignment: dict[int, frozenset[Atom]] = {}
+    # entries past the current depth are stale, and no check reads them;
+    # row holds the members' sets at their places in a belief state
+    assignment = [0] * len(order)
+    row: list[frozenset[Atom] | None] = [None] * len(ids)
 
     def search(depth: int) -> None:
         if depth == len(order):
-            completed, violated = _complete_aux(m, assignment) if has_aux else (assignment, False)
+            if not has_aux:
+                out.append(BeliefState(tuple(zip(ids, row))))
+                return
+            completed, violated = _complete_aux(m, {i: s for i, s in zip(ids, row) if s is not None})
             if not violated:
-                out.append(BeliefState.make({**completed, **eps}))
+                out.append(BeliefState(tuple((i, completed.get(i)) for i in ids)))
             return
-        d = direct[depth]
-        for cand in tables[d.id][_fired(rules[d.id], assignment)] if d else pools[depth]:
-            assignment[order[depth]] = cand
-            if all(
-                assignment[c.id] in tables[c.id][_fired(rules[c.id], assignment)]
-                for c in checks_at[depth]
+        pool = pools[depth]
+        if pool is None:
+            pool = tables[depth][_fired_mask(rules[depth], assignment)]
+        checks = checks_at[depth]
+        at = slots[depth]
+        for mask, s in pool.items():
+            assignment[depth] = mask
+            row[at] = s
+            if not checks or all(
+                assignment[p] in tables[p][_fired_mask(rules[p], assignment)] for p in checks
             ):
                 search(depth + 1)
 

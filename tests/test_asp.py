@@ -26,6 +26,7 @@ from mcsym import (
     reduct,
     rule,
 )
+from mcsym.asp import evaluate_stratified, stratify
 
 a, b, c = Atom(1, "a"), Atom(1, "b"), Atom(1, "c")
 d, e, f, g = Atom(2, "d"), Atom(2, "e"), Atom(2, "f"), Atom(2, "g")
@@ -200,6 +201,15 @@ class TestExtendStratified:
         )
         ext, _ = extend_stratified(frozenset({a}), aux)
         assert ext == frozenset({a, self.c3})
+
+    def test_seeded_head_acts_as_a_fact(self):
+        aux = (
+            rule(head=[self.c3], pos=[self.c2]),
+            rule(pos=[self.c3], neg=[a]),
+        )
+        seeded = evaluate_stratified(frozenset({b, self.c2}), stratify(aux))
+        assert seeded == extend_stratified(frozenset({b}), (*aux, rule(head=[self.c2])))
+        assert seeded == (frozenset({b, self.c2, self.c3}), aux[1:])
 
     def test_disjunctive_aux_head_rejected(self):
         aux = (rule(head=[self.c2, self.c3]),)

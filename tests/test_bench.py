@@ -152,6 +152,11 @@ class TestPipeline:
         with pytest.raises(ParseError):
             run_pipeline(m, 1, mode="everything")
 
+    def test_negative_bound_rejected(self):
+        m = generate(TopologySpec("ring", 2, seed=0))
+        with pytest.raises(ParseError, match="bound"):
+            run_pipeline(m, 1, mode="none", bound=-1)
+
 
 def fake_report(**overrides) -> RunReport:
     base = dict(

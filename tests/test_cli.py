@@ -209,6 +209,11 @@ class TestSolve:
         assert main(["solve", str(example1_path), "--bound", "0"]) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--root", "1"], ["--root", "1", "--naive"]])
+    def test_negative_bound_exits_2(self, extra, example1_path, capsys):
+        assert main(["solve", str(example1_path), *extra, "--bound", "-1"]) == 2
+        assert "bound must be at least 0" in capsys.readouterr().err
+
 
 class TestBench:
     def test_csv_grid(self, capsys):

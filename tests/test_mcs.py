@@ -9,6 +9,7 @@ import pytest
 from mcsym import (
     Atom,
     BeliefState,
+    BoundExceeded,
     BridgeRule,
     Context,
     InsufficientBeliefState,
@@ -39,6 +40,7 @@ from mcsym import (
     TopologySpec,
 )
 
+import mcsym.asp
 from helpers import atoms_of, cyc, random_system, state_of, with_random_aux_layer
 
 
@@ -243,6 +245,51 @@ class TestEquilibria:
             enumerate_partial_equilibria(m, 1)
         with pytest.raises(InternalError):
             evaluate_distributed(m, 1)
+
+    def test_bound_is_checked_for_members_the_search_never_reaches(self):
+        # context 2 is assigned first and has no answer sets, so the search
+        # never reads the root's table; the root is still over the bound
+        a, b, c, q = Atom(1, "a"), Atom(1, "b"), Atom(1, "c"), Atom(2, "q")
+        root = Context(
+            1,
+            (a, b, c),
+            (rule(head=[a], neg=[b]), rule(head=[b], neg=[a]), rule(head=[c], pos=[a])),
+            (BridgeRule(c, frozenset({q}), frozenset()),),
+        )
+        m = System((root, Context(2, (q,), (rule(head=[q], neg=[q]),), ())))
+        assert evaluate_distributed(m, 2) == frozenset()
+        with pytest.raises(BoundExceeded):
+            enumerate_partial_equilibria(m, 1, bound=2)
+        with pytest.raises(BoundExceeded):
+            evaluate_distributed(m, 1, bound=2)
+
+    def test_tables_build_only_the_entries_the_search_reads(self, monkeypatch):
+        calls = []
+        answer_sets = mcsym.asp.answer_sets
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return answer_sets(*args, **kwargs)
+
+        monkeypatch.setattr(mcsym.asp, "answer_sets", counted)
+        for seed in range(4):
+            m = generate(TopologySpec("diamond", 4, seed))
+            whole = sum(
+                2 ** len({b.head for b in m.context(i).br} & m.context(i).original)
+                for i in import_closure(m, 1)
+            )
+            calls.clear()
+            got = evaluate_distributed(m, 1)
+            assert len(calls) < whole
+            assert got == enumerate_partial_equilibria(m, 1)
+
+    def test_negative_bound_rejected(self, example1):
+        with pytest.raises(ParseError, match="bound"):
+            evaluate_distributed(example1, 1, bound=-1)
+        with pytest.raises(ParseError, match="bound"):
+            enumerate_partial_equilibria(example1, 1, bound=-1)
+        with pytest.raises(ParseError, match="bound"):
+            enumerate_partial_equilibria(example1, bound=-1)
 
 
 class TestSymmetryPredicates:
