@@ -2,10 +2,10 @@
 
 Small, dependency-free search tuned for the graphs this package builds: a few
 hundred vertices with many colour classes.  Colour refinement propagates
-(in, out)-degree information per colour until stable; the generator search
-individualizes one vertex of the first smallest non-singleton class and
-combines stabilizer generators with one coset representative per candidate
-image, which generates the full automorphism group.
+(in, out)-degree information per colour until stable.  As in nauty/Traces,
+one individualization-refinement procedure finds both the stabilizer chain
+and one coset representative per candidate image, which together generate
+the full automorphism group.
 """
 
 from __future__ import annotations
@@ -35,15 +35,6 @@ class Graph:
         return len(self.colours)
 
 
-def _adjacency(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
-    out: list[list[int]] = [[] for _ in range(g.n)]
-    inc: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        out[u].append(v)
-        inc[v].append(u)
-    return out, inc
-
-
 def refine_colouring(g: Graph, colours: Sequence[int] | None = None) -> tuple[int, ...]:
     """Stable colour refinement by per-colour in/out degree signatures.
 
@@ -52,7 +43,11 @@ def refine_colouring(g: Graph, colours: Sequence[int] | None = None) -> tuple[in
     corresponding colourings.
     """
     cur = list(g.colours if colours is None else colours)
-    out, inc = _adjacency(g)
+    out: list[list[int]] = [[] for _ in range(g.n)]
+    inc: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        out[u].append(v)
+        inc[v].append(u)
     while True:
         sigs = []
         for v in range(g.n):
@@ -86,63 +81,46 @@ def _cells(colours: Sequence[int]) -> dict[int, list[int]]:
 
 
 def _individualize(colours: Sequence[int], v: int) -> list[int]:
-    fresh = max(colours) + 1
     out = list(colours)
-    out[v] = fresh
+    out[v] = max(colours) + 1
     return out
 
 
+def _target_cell(cells: dict[int, list[int]]) -> list[int] | None:
+    """The smallest non-singleton class, ties broken by least vertex."""
+    big = (vs for vs in cells.values() if len(vs) > 1)
+    return min(big, key=lambda vs: (len(vs), vs[0]), default=None)
+
+
 def _search_mapped(g: Graph, c1: Sequence[int], c2: Sequence[int]) -> VertexPerm | None:
-    """One colour-respecting automorphism sending classes of c1 onto c2."""
-    cells1 = _cells(c1)
-    cells2 = _cells(c2)
-    if set(cells1) != set(cells2):
-        return None
-    if any(len(cells1[c]) != len(cells2[c]) for c in cells1):
-        return None
-    out, inc = _adjacency(g)
-    # most constrained first: small classes early
-    order: list[int] = []
-    for c in sorted(cells1, key=lambda c: (len(cells1[c]), c)):
-        order.extend(sorted(cells1[c]))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-    edge_set = g.edges
+    """One automorphism sending each colour class of stable c1 onto c2's.
 
-    def consistent(v: int, w: int) -> bool:
-        for u, mu in mapping.items():
-            if ((u, v) in edge_set) != ((mu, w) in edge_set):
-                return False
-            if ((v, u) in edge_set) != ((w, mu) in edge_set):
-                return False
-        return True
-
-    def dfs(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in cells2[c1[v]]:
-            if w in used or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if dfs(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    if not dfs(0):
+    Tries the in-order pairing of each class first; recursion depth is the
+    number of individualized vertices, not g.n.
+    """
+    if sorted(c1) != sorted(c2):
         return None
-    return tuple(mapping[v] for v in range(g.n))
+    images = {c: iter(vs) for c, vs in _cells(c2).items()}
+    perm = [next(images[c]) for c in c1]
+    if is_automorphism(g, perm):
+        return tuple(perm)
+    cell = _target_cell(_cells(c1))
+    if cell is None:
+        return None
+    c_fixed = refine_colouring(g, _individualize(c1, cell[0]))
+    for w in _cells(c2)[c1[cell[0]]]:
+        a = _search_mapped(g, c_fixed, refine_colouring(g, _individualize(c2, w)))
+        if a is not None:
+            return a
+    return None
 
 
 def automorphism_generators(g: Graph) -> list[VertexPerm]:
     """Generators of the automorphism group of a coloured digraph.
 
-    Orbit-stabilizer scheme: pick the first smallest non-singleton colour
-    class after refinement, individualize its least vertex (recursing gives
-    the stabilizer's generators), and add one automorphism mapping the least
+    Orbit-stabilizer scheme: pick the smallest non-singleton colour class
+    after refinement, individualize its least vertex (recursing gives the
+    stabilizer's generators), and add one automorphism mapping the least
     vertex to each other class member that admits one.
     """
     if g.n > 10**4:
@@ -151,16 +129,13 @@ def automorphism_generators(g: Graph) -> list[VertexPerm]:
 
 
 def _generators(g: Graph, colours: tuple[int, ...]) -> list[VertexPerm]:
-    cells = [sorted(vs) for vs in _cells(colours).values() if len(vs) > 1]
-    if not cells:
+    cell = _target_cell(_cells(colours))
+    if cell is None:
         return []
-    cell = min(cells, key=lambda c: (len(c), c[0]))
-    v0 = cell[0]
-    c_fixed = refine_colouring(g, _individualize(colours, v0))
+    c_fixed = refine_colouring(g, _individualize(colours, cell[0]))
     gens = _generators(g, c_fixed)
     for vj in cell[1:]:
-        c_other = refine_colouring(g, _individualize(colours, vj))
-        a = _search_mapped(g, c_fixed, c_other)
+        a = _search_mapped(g, c_fixed, refine_colouring(g, _individualize(colours, vj)))
         if a is not None:
             gens.append(a)
     return gens
@@ -207,18 +182,26 @@ def parse_graph(text: str) -> Graph:
         n, e_count, c_count = int(v_s), int(e_s), int(c_s)
     except ValueError:
         raise ParseError("malformed graph header") from None
-    colours = [0] * n
-    seen_c: set[int] = set()
+    colours: list[int | None] = [None] * n
     edges: set[tuple[int, int]] = set()
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "c" and len(parts) == 3:
-            colours[int(parts[1])] = int(parts[2])
-            seen_c.add(int(parts[1]))
-        elif parts[0] == "e" and len(parts) == 3:
-            edges.add((int(parts[1]), int(parts[2])))
-        else:
+        if len(parts) != 3 or parts[0] not in ("c", "e"):
             raise ParseError(f"unrecognized line {ln!r}")
+        try:
+            a, b = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(f"non-integer field in {ln!r}") from None
+        if parts[0] == "e":
+            edges.add((a, b))
+        elif not 0 <= a < n:
+            raise ParseError(f"vertex {a} out of range for {n} vertices")
+        elif colours[a] is not None:
+            raise ParseError(f"vertex {a} coloured twice")
+        else:
+            colours[a] = b
+    if None in colours:
+        raise ParseError(f"vertex {colours.index(None)} has no colour")
     if len(edges) != e_count:
         raise ParseError(f"header declares {e_count} edges, found {len(edges)}")
     g = Graph(tuple(colours), frozenset(edges))

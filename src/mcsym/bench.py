@@ -22,7 +22,7 @@ something to compress.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -217,24 +217,8 @@ class RunReport:
     t_solve_after: float
 
     def row(self) -> dict:
-        return {
-            "kind": "instance",
-            "instance": self.instance,
-            "topology": self.topology,
-            "n": self.n,
-            "seed": self.seed,
-            "root": self.root,
-            "mode": self.mode,
-            "before": self.before,
-            "after": self.after,
-            "compression": round(self.compression, 6),
-            "group_size": self.group_size,
-            "generator_count": self.generator_count,
-            "t_detect": round(self.t_detect, 6),
-            "t_break": round(self.t_break, 6),
-            "t_solve_before": round(self.t_solve_before, 6),
-            "t_solve_after": round(self.t_solve_after, 6),
-        }
+        row = {"kind": "instance"} | asdict(self)
+        return {k: round(v, 6) if isinstance(v, float) else v for k, v in row.items()}
 
 
 def select_breakers(
@@ -330,25 +314,7 @@ def run_pipeline(
 # reporting
 
 
-_COLUMNS = [
-    "kind",
-    "instance",
-    "topology",
-    "n",
-    "seed",
-    "root",
-    "mode",
-    "before",
-    "after",
-    "compression",
-    "group_size",
-    "generator_count",
-    "t_detect",
-    "t_break",
-    "t_solve_before",
-    "t_solve_after",
-    "count",
-]
+_COLUMNS = ["kind", *(f.name for f in fields(RunReport)), "count"]
 
 
 def _aggregate(reports: Sequence[RunReport]) -> list[dict]:

@@ -78,7 +78,7 @@ class TestParse:
     def test_integrity_constraint(self):
         (r,) = parse_program(":- a, not b.", ALPHA1)
         assert r == rule(pos=[a], neg=[b])
-        assert r.is_constraint
+        assert r.is_constraint()
 
     def test_disjunctive_head(self):
         (r,) = parse_program("f ; g :- d.", ALPHA2)
@@ -86,7 +86,7 @@ class TestParse:
 
     def test_fact(self):
         (r,) = parse_program("a.", ALPHA1)
-        assert r.is_fact and r.head == frozenset({a})
+        assert r.is_fact() and r.head == frozenset({a})
 
     def test_comments_and_multiline(self):
         prog = parse_program(

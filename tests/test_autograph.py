@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mcsym import (
     BoundExceeded,
     Graph,
+    ParseError,
     automorphism_generators,
     is_automorphism,
     refine_colouring,
@@ -51,6 +52,9 @@ class TestIsAutomorphism:
         assert not is_automorphism(g, (1, 0))
 
 
+_C6_2C3 = {(i, (i + 1) % 6) for i in range(6)} | {(6, 7), (7, 8), (8, 6), (9, 10), (10, 11), (11, 9)}
+
+
 class TestGenerators:
     def test_two_isolated_vertices(self):
         g = Graph((0, 0), frozenset())
@@ -61,6 +65,38 @@ class TestGenerators:
         g = Graph((0, 0, 0), frozenset({(0, 1), (1, 2), (2, 0)}))
         gens = automorphism_generators(g)
         assert len(vclose(gens, 3)) == 3
+
+    @pytest.mark.parametrize(
+        "n,edges,order",
+        [
+            (6, {(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)}, 18),
+            # every vertex refines to one colour, yet no automorphism maps a
+            # hexagon vertex onto a triangle vertex
+            (12, _C6_2C3 | {(v, u) for u, v in _C6_2C3}, 864),
+        ],
+        ids=["two-directed-3-cycles", "undirected-C6-and-two-C3"],
+    )
+    def test_group_order_of_disjoint_cycles(self, n, edges, order):
+        g = Graph((0,) * n, frozenset(edges))
+        assert len(vclose(automorphism_generators(g), n)) == order
+
+    def test_long_graph_with_one_swap(self):
+        # a search that recursed once per vertex exceeded Python's stack here
+        n = 1100
+        colours = tuple(range(n - 2)) + (n - 2, n - 2)
+        g = Graph(colours, frozenset((v, v + 1) for v in range(n - 3)))
+        swap = tuple(range(n - 2)) + (n - 1, n - 2)
+        assert automorphism_generators(g) == [swap]
+
+    def test_many_twin_pairs(self):
+        k = 150
+        g = Graph(tuple(v // 2 for v in range(2 * k)), frozenset())
+        swaps = []
+        for i in range(k):
+            p = list(range(2 * k))
+            p[2 * i], p[2 * i + 1] = 2 * i + 1, 2 * i
+            swaps.append(tuple(p))
+        assert sorted(automorphism_generators(g)) == sorted(swaps)
 
     def test_empty_graph(self):
         g = Graph((), frozenset())
@@ -115,6 +151,22 @@ class TestFormat:
     def test_header(self):
         g = Graph((0, 1, 1), frozenset({(0, 1), (2, 0)}))
         assert emit_graph(g).splitlines()[0] == "graph 3 2 2"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "graph 2 0 1\nc 0 0\n",  # vertex 1 has no colour
+            "graph 2 0 1\nc 0 0\nc -1 0\n",
+            "graph 2 0 1\nc 0 0\nc 5 0\n",
+            "graph 2 0 1\nc 0 0\nc x 0\n",
+            "graph 2 0 2\nc 0 0\nc 0 1\nc 1 0\n",
+            "graph 2 1 1\nc 0 0\nc 1 0\ne 0 y\n",
+        ],
+        ids=["uncoloured", "negative", "out-of-range", "non-integer", "coloured-twice", "edge-non-integer"],
+    )
+    def test_rejects_bad_vertex_lines(self, text):
+        with pytest.raises(ParseError):
+            parse_graph(text)
 
 
 # ---------------------------------------------------------------------------
