@@ -20,14 +20,14 @@ once; each node computes its local set once, and a reply that would exceed
 the message cap degrades to irredundant generators, which the receiver
 closes back to the group before joining.  Requests are handled in the
 caller, one after another, and the message log keeps the newest
-:data:`LOG_LINES` lines.
+:data:`LOG_LINES` lines, rendering replies in cycle notation only when read.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InternalError, ParseError
 from .autograph import Graph, automorphism_generators
@@ -204,6 +204,50 @@ class PermSet:
     complete: bool = True
 
 
+def _size(entry: tuple[str, ...] | PermSet) -> int:
+    return len(entry) if isinstance(entry, tuple) else 1 + len(entry.perms)
+
+
+def _lines(entry: tuple[str, ...] | PermSet) -> Iterable[str]:
+    if isinstance(entry, tuple):
+        return entry
+    head = f"PERMSET {len(entry.perms)}" + ("" if entry.complete else " generators")
+    return [head, *sorted(emit_cycles(p) or "()" for p in entry.perms)]
+
+
+class _MessageLog:
+    """The newest ``limit`` lines of the wire form, rendered when read.
+
+    An entry is a tuple of lines or a reply, which stands for its header line
+    and its permutations in sorted cycle notation.  A reply that the limit
+    cuts is rendered then, and only its newest lines are kept.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self._entries: deque[tuple[str, ...] | PermSet] = deque()
+        self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[str]:
+        for entry in self._entries:
+            yield from _lines(entry)
+
+    def append(self, entry: tuple[str, ...] | PermSet) -> None:
+        self._entries.append(entry)
+        self._len += _size(entry)
+        excess = self._len - self.limit
+        while excess > 0:
+            old = self._entries.popleft()
+            size = _size(old)
+            if size > excess:
+                self._entries.appendleft(tuple(_lines(old))[excess:])
+            excess -= size
+        self._len = min(self._len, self.limit)
+
+
 class DetectionService:
     """Per-context detection nodes exchanging the paper's request messages.
 
@@ -216,8 +260,9 @@ class DetectionService:
     across requests.  A nontrivial reply larger than ``message_cap``
     degrades to an irredundant generating subset, which the receiving node
     closes back to the group before joining; a negative cap raises
-    :class:`ParseError`.  The message log records the line-delimited wire
-    form of each exchange, keeping the newest :data:`LOG_LINES` lines.
+    :class:`ParseError`.  The message log yields the line-delimited wire
+    form of each exchange, the newest :data:`LOG_LINES` lines; it keeps the
+    replies themselves and renders them only when it is read.
     """
 
     def __init__(self, m: System, mode: str = "shared", message_cap: int = 4096) -> None:
@@ -228,7 +273,7 @@ class DetectionService:
         self.message_cap = message_cap
         self.requests = {c.id: 0 for c in m.contexts}
         self.cache_hits = {c.id: 0 for c in m.contexts}
-        self.log: deque[str] = deque(maxlen=LOG_LINES)
+        self.log = _MessageLog(LOG_LINES)
         self._local: dict[int, frozenset[Permutation]] = {}
 
     def request(self, k: int, visited: frozenset[int] = frozenset()) -> PermSet:
@@ -238,7 +283,7 @@ class DetectionService:
     def _reply(self, k: int, asked: set[int]) -> PermSet:
         # neighbours are asked through here, so one outside request is one
         # call of ``request``
-        self.log.append(f"DSD {k} H={','.join(map(str, sorted(asked))) or '-'}")
+        self.log.append((f"DSD {k} H={','.join(map(str, sorted(asked))) or '-'}",))
         asked.add(k)
         self.requests[k] += 1
         if k in self._local:
@@ -255,7 +300,5 @@ class DetectionService:
         # the identity alone has no generators to carry its domain
         if len(perms) > max(self.message_cap, 1):
             reply = PermSet(frozenset(reduce_irredundant(perms)), complete=False)
-        lines = [f"PERMSET {len(reply.perms)}" + ("" if reply.complete else " generators")]
-        lines.extend(sorted(emit_cycles(p) or "()" for p in reply.perms))
-        self.log.extend(lines)
+        self.log.append(reply)
         return reply

@@ -114,9 +114,13 @@ class Context:
         """In(k): the contexts whose belief sets the bridge rules query."""
         return frozenset(a.context_id for b in self.br for a in b.body_pos | b.body_neg)
 
+    @cached_property
+    def _occurring(self) -> frozenset[Atom]:
+        return frozenset().union(*(r.atoms() for r in self.kb), *(b.atoms() for b in self.br))
+
     def occurring(self) -> frozenset[Atom]:
         """Atoms mentioned anywhere in this context's rules (foreign included)."""
-        return frozenset().union(*(r.atoms() for r in self.kb), *(b.atoms() for b in self.br))
+        return self._occurring  # derived once, like ``atoms``; kept a method for its callers
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared test helpers: cycle views, atom lookup, seeded random systems."""
+"""Shared test helpers: cycle views, atom lookup, seeded random systems, reference refinement."""
 
 from __future__ import annotations
 
@@ -10,6 +10,32 @@ from mcsym import Atom, BridgeRule, Context, Rule, System, emit_cycles
 def cyc(perms) -> set[str]:
     """Canonical cycle-string view of a permutation collection; identity is "()"."""
     return {emit_cycles(p) or "()" for p in perms}
+
+
+def signature_refinement(g, colours=None) -> tuple[int, ...]:
+    """Reference colour refinement: recompute every vertex's signature per round.
+
+    A signature is a vertex's colour and the sorted colours of its out- and
+    in-neighbours; new colours rank the distinct signatures, until no class
+    splits.  The result is the coarsest equitable partition refining
+    ``colours``.
+    """
+    cur = list(g.colours if colours is None else colours)
+    out: list[list[int]] = [[] for _ in range(g.n)]
+    inc: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        out[u].append(v)
+        inc[v].append(u)
+    while True:
+        sigs = [
+            (cur[v], tuple(sorted(cur[w] for w in out[v])), tuple(sorted(cur[w] for w in inc[v])))
+            for v in range(g.n)
+        ]
+        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        nxt = [order[s] for s in sigs]
+        if nxt == cur:
+            return tuple(nxt)
+        cur = nxt
 
 
 def atoms_of(m: System, *names: str) -> tuple[Atom, ...]:

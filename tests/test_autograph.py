@@ -18,6 +18,8 @@ from mcsym import (
 )
 from mcsym.autograph import automorphisms_brute, emit_graph, parse_graph
 
+from helpers import signature_refinement
+
 
 def vclose(gens, n):
     """Group closure of vertex permutations (tuples)."""
@@ -89,14 +91,16 @@ class TestGenerators:
         assert automorphism_generators(g) == [swap]
 
     def test_many_twin_pairs(self):
-        k = 150
-        g = Graph(tuple(v // 2 for v in range(2 * k)), frozenset())
-        swaps = []
-        for i in range(k):
-            p = list(range(2 * k))
-            p[2 * i], p[2 * i + 1] = 2 * i + 1, 2 * i
-            swaps.append(tuple(p))
-        assert sorted(automorphism_generators(g)) == sorted(swaps)
+        # one stabilizer level per pair: 1,000 levels must not take 1,000
+        # stack frames
+        for k in (150, 1000):
+            g = Graph(tuple(v // 2 for v in range(2 * k)), frozenset())
+            swaps = []
+            for i in range(k):
+                p = list(range(2 * k))
+                p[2 * i], p[2 * i + 1] = 2 * i + 1, 2 * i
+                swaps.append(tuple(p))
+            assert sorted(automorphism_generators(g)) == sorted(swaps)
 
     def test_empty_graph(self):
         g = Graph((), frozenset())
@@ -161,8 +165,12 @@ class TestFormat:
             "graph 2 0 1\nc 0 0\nc x 0\n",
             "graph 2 0 2\nc 0 0\nc 0 1\nc 1 0\n",
             "graph 2 1 1\nc 0 0\nc 1 0\ne 0 y\n",
+            "graph -1 0 0\n",
         ],
-        ids=["uncoloured", "negative", "out-of-range", "non-integer", "coloured-twice", "edge-non-integer"],
+        ids=[
+            "uncoloured", "negative", "out-of-range", "non-integer", "coloured-twice",
+            "edge-non-integer", "negative-vertex-count",
+        ],
     )
     def test_rejects_bad_vertex_lines(self, text):
         with pytest.raises(ParseError):
@@ -194,16 +202,34 @@ def test_generators_match_brute_force(g):
     assert vclose(gens, g.n) == set(automorphisms_brute(g))
 
 
-@settings(max_examples=20)
-@given(graphs(), st.randoms(use_true_random=False))
-def test_group_size_is_relabeling_invariant(g, rng):
+def _relabelled(g, rng):
+    """``g`` with vertex ``v`` renamed ``relabel[v]`` for a random ``relabel``."""
     relabel = list(range(g.n))
     rng.shuffle(relabel)
     colours = [0] * g.n
     for v in range(g.n):
         colours[relabel[v]] = g.colours[v]
     edges = frozenset((relabel[u], relabel[v]) for u, v in g.edges)
-    h = Graph(tuple(colours), edges)
+    return Graph(tuple(colours), edges), relabel
+
+
+@settings(max_examples=20)
+@given(graphs(), st.randoms(use_true_random=False))
+def test_group_size_is_relabeling_invariant(g, rng):
+    h, _ = _relabelled(g, rng)
     assert len(vclose(automorphism_generators(g), g.n)) == len(
         vclose(automorphism_generators(h), h.n)
     )
+
+
+def _cells_of(colours):
+    return sorted(sorted(v for v, c in enumerate(colours) if c == x) for x in set(colours))
+
+
+@settings(max_examples=60)
+@given(graphs(), st.randoms(use_true_random=False))
+def test_refinement_is_equivariant_and_matches_the_signature_rounds(g, rng):
+    h, relabel = _relabelled(g, rng)
+    refined, moved = refine_colouring(g), refine_colouring(h)
+    assert all(moved[relabel[v]] == refined[v] for v in range(g.n))
+    assert _cells_of(refined) == _cells_of(signature_refinement(g))

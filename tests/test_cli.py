@@ -30,6 +30,40 @@ PERMSET 4 complete
 (1.a 1.b)(2.d 2.e)(2.f 2.g)
 """
 
+# the whole --verbose trace of a service request from root 1, with the
+# default message cap and with --message-cap 1
+SERVICE_VERBOSE_ROOT1 = """\
+# DSD 1 H=-
+# DSD 2 H=1
+# PERMSET 4
+# ()
+# (1.a 1.b)(2.d 2.e)
+# (1.a 1.b)(2.d 2.e)(2.f 2.g)
+# (2.f 2.g)
+# PERMSET 4
+# ()
+# (1.a 1.b)(2.d 2.e)
+# (1.a 1.b)(2.d 2.e)(2.f 2.g)
+# (2.f 2.g)
+# node 1: 1 requests, 0 cache hits
+# node 2: 1 requests, 0 cache hits
+# node 3: 0 requests, 0 cache hits
+"""
+
+SERVICE_VERBOSE_ROOT1_CAP1 = """\
+# DSD 1 H=-
+# DSD 2 H=1
+# PERMSET 2 generators
+# (1.a 1.b)(2.d 2.e)
+# (2.f 2.g)
+# PERMSET 2 generators
+# (1.a 1.b)(2.d 2.e)
+# (2.f 2.g)
+# node 1: 1 requests, 0 cache hits
+# node 2: 1 requests, 0 cache hits
+# node 3: 0 requests, 0 cache hits
+"""
+
 
 class TestGen:
     def test_writes_a_parseable_instance(self, tmp_path):
@@ -93,6 +127,16 @@ class TestDetect:
         assert "# DSD 1 H=-" in err
         assert "# DSD 2 H=1" in err
         assert "# node 1:" in err
+
+    @pytest.mark.parametrize(
+        "extra,want",
+        [([], SERVICE_VERBOSE_ROOT1), (["--message-cap", "1"], SERVICE_VERBOSE_ROOT1_CAP1)],
+        ids=["default-cap", "cap-1"],
+    )
+    def test_service_verbose_trace_is_exact(self, example1_path, capsys, extra, want):
+        argv = ["detect", str(example1_path), "--root", "1", "--service", "--verbose"]
+        assert main([*argv, *extra]) == 0
+        assert capsys.readouterr().err == want
 
     def test_service_degrades_under_a_tiny_message_cap(self, example1_path, capsys):
         rc = main(

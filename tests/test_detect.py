@@ -195,6 +195,24 @@ class TestService:
         svc.request(1)
         assert list(svc.log) == list(full.log)[-3:]
 
+    def test_log_keeps_the_newest_lines_at_every_limit(self, monkeypatch):
+        # replies are cut by the limit mid-reply and across several requests
+        m = generate(TopologySpec("diamond", 4, 0))
+
+        def exchange() -> DetectionService:
+            svc = DetectionService(m, message_cap=2)
+            for k in (1, 2, 1):
+                svc.request(k)
+            return svc
+
+        full = list(exchange().log)
+        assert len(full) > 10
+        for limit in range(len(full) + 2):
+            monkeypatch.setattr(detect, "LOG_LINES", limit)
+            svc = exchange()
+            assert len(svc.log) == min(limit, len(full))
+            assert list(svc.log) == full[len(full) - len(svc.log):]
+
     def test_degrades_to_generators_over_message_cap(self, example1):
         svc = DetectionService(example1, message_cap=1)
         got = svc.request(1)
