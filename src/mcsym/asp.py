@@ -14,12 +14,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BoundExceeded, InternalError, ParseError
 from .perm import Atom, Permutation
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_REF_RE = re.compile(r"\(\s*(\d+)\s*:\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)")
 
 
 @dataclass(frozen=True)
@@ -59,22 +60,26 @@ def occurring_atoms(program: Iterable[Rule]) -> frozenset[Atom]:
 # parsing / emission
 
 
-def _resolve_alphabet(alphabet) -> dict[str, Atom]:
-    if isinstance(alphabet, Mapping):
-        return dict(alphabet)
-    return {a.name: a for a in alphabet}
+def _code_lines(text: str) -> Iterator[tuple[str, int]]:
+    """The lines of ``text`` cut at ``%`` comments, as ``(text, file line)``; blank ones are dropped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if code := raw.split("%", 1)[0].strip():
+            yield code, lineno
 
 
-def _split_statements(text: str) -> list[tuple[str, int]]:
-    """Split on ``.`` outside comments; yields (statement, line_number)."""
+def _split_statements(lines: Iterable[tuple[str, int]]) -> list[tuple[str, int]]:
+    """Split comment-free ``(text, file line)`` pairs into statements at each ``.``.
+
+    Returns ``(statement, line)`` pairs, with the file line each statement
+    starts on; a statement may span lines (see :func:`_code_lines`).
+    """
     out: list[tuple[str, int]] = []
     buf: list[str] = []
-    start_line = 1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0]
+    start_line = 0
+    for line, lineno in lines:
         while "." in line:
             chunk, line = line.split(".", 1)
-            if not buf and chunk.strip():
+            if not buf:
                 start_line = lineno
             buf.append(chunk)
             stmt = " ".join(buf).strip()
@@ -85,21 +90,32 @@ def _split_statements(text: str) -> list[tuple[str, int]]:
             if not buf:
                 start_line = lineno
             buf.append(line)
-    if "".join(buf).strip():
+    if buf:
         raise ParseError("rule not terminated by '.'", line=start_line)
     return out
 
 
-def _parse_atom_token(tok: str, names: dict[str, Atom], lineno: int) -> Atom:
+def _parse_atom_token(tok: str, names: Mapping[str | tuple[int, str], Atom], lineno: int) -> Atom:
     tok = tok.strip()
-    if not _NAME_RE.match(tok):
+    if _NAME_RE.match(tok):
+        key: str | tuple[int, str] = tok
+    elif ref := _REF_RE.fullmatch(tok):
+        key = (int(ref[1]), ref[2])
+    else:
         raise ParseError(f"invalid atom name {tok!r}", line=lineno)
-    if tok not in names:
+    atom = names.get(key)
+    if atom is None:
         raise ParseError(f"atom {tok!r} not in the alphabet", line=lineno)
-    return names[tok]
+    return atom
 
 
-def parse_rule(stmt: str, names: dict[str, Atom], lineno: int = 0) -> Rule:
+def parse_rule(stmt: str, names: Mapping[str | tuple[int, str], Atom], lineno: int = 0) -> Rule:
+    """Parse one statement, without its ``.``, into a rule.
+
+    An atom is written as a plain name, which ``names`` resolves by the name,
+    or as ``(c:name)``, which it resolves by ``(c, name)``; a token ``names``
+    does not resolve is an error.  Errors name ``lineno``.
+    """
     if ":-" in stmt:
         head_txt, body_txt = stmt.split(":-", 1)
         if ":-" in body_txt:
@@ -126,10 +142,10 @@ def parse_rule(stmt: str, names: dict[str, Atom], lineno: int = 0) -> Rule:
     return Rule(frozenset(head), frozenset(pos), frozenset(neg))
 
 
-def parse_program(text: str, alphabet) -> tuple[Rule, ...]:
-    """Parse a logic program over a fixed alphabet (name -> atom, or atoms)."""
-    names = _resolve_alphabet(alphabet)
-    return tuple(parse_rule(stmt, names, lineno) for stmt, lineno in _split_statements(text))
+def parse_program(text: str, alphabet: Iterable[Atom]) -> tuple[Rule, ...]:
+    """Parse a logic program over a fixed alphabet of atoms."""
+    names = {a.name: a for a in alphabet}
+    return tuple(parse_rule(stmt, names, lineno) for stmt, lineno in _split_statements(_code_lines(text)))
 
 
 def emit_rule(r: Rule) -> str:

@@ -39,7 +39,7 @@ from .mcs import (
     import_closure,
 )
 from .perm import Atom, Permutation, perm_sort_key
-from .sbc import AtomOrder, default_order, extend_mcs, select_breaking_set
+from .sbc import extend_mcs, select_breaking_set
 
 TOPOLOGIES = ("diamond", "zigzag", "house", "ring")
 MODES = ("none", "full", "generators")
@@ -257,7 +257,6 @@ def run_pipeline(
     root: int,
     mode: str = "full",
     budget: int = 8,
-    order: AtomOrder | None = None,
     *,
     instance: str = "",
     topology: str = "",
@@ -272,13 +271,12 @@ def run_pipeline(
     ``bound`` is a :class:`ParseError`, raised before any work.
     """
     _check_bound(bound)
-    order = order or default_order(m)
     t0 = time.perf_counter()
     breakers, group_size = select_breakers(m, root, mode, budget)
     t_detect = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    extended = extend_mcs(m, breakers, order) if breakers else m
+    extended = extend_mcs(m, breakers) if breakers else m
     t_break = time.perf_counter() - t0
 
     t0 = time.perf_counter()

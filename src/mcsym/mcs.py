@@ -48,9 +48,6 @@ from .asp import Rule, evaluate_stratified, is_answer_set
 from .errors import BoundExceeded, InsufficientBeliefState, InternalError, ParseError
 from .perm import Atom, Permutation
 
-_BRIDGE_REF_RE = re.compile(r"\(\s*(\d+)\s*:\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)")
-
-
 @dataclass(frozen=True)
 class BridgeRule:
     """``head :- (c:b), not (c:d).`` — body literals query other contexts."""
@@ -701,127 +698,70 @@ def parse_system(text: str) -> System:
           br
 
     An optional ``aux`` line after ``atoms`` declares auxiliary atoms.
-    ``%`` starts a comment.
+    ``%`` starts a comment.  kb and br statements are both read by
+    :func:`asp.parse_rule`; a bridge body literal ``(c:name)`` resolves
+    against every atom the file declares.  Errors name the line of the file.
     """
-    lines = text.splitlines()
-    pos = 0
+    # per context: its id, alphabet, aux atoms, kb lines and br lines
+    sections: list[tuple[int, list[Atom], list[Atom], list, list]] = []
+    expect = "mcs"
+    for line, lineno in asp._code_lines(text):
+        if expect == "mcs":
+            mhead = re.match(r"mcs\s+(\d+)$", line)
+            if not mhead:
+                raise ParseError("expected 'mcs <n>' header", line=lineno)
+            n, expect = int(mhead.group(1)), "context"
+        elif expect == "atoms":
+            if not line.startswith("atoms"):
+                raise ParseError("expected 'atoms ...' after context header", line=lineno)
+            alphabet.extend(Atom(cid, nm) for nm in line[len("atoms"):].split())
+            expect = "aux"
+        elif expect == "aux" and line.startswith("aux"):
+            aux.extend(Atom(cid, nm) for nm in line[len("aux"):].split())
+            expect = "kb"
+        elif expect in ("aux", "kb"):
+            if line != "kb":
+                raise ParseError("expected 'kb' section", line=lineno)
+            expect = "kb rules"
+        elif expect == "kb rules" and line.startswith("context"):
+            raise ParseError("expected 'br' section", line=lineno)
+        elif expect == "kb rules" and line == "br":
+            expect, rules = "br rules", br
+        elif expect.endswith("rules") and not line.startswith("context"):
+            rules.append((line, lineno))
+        else:
+            mctx = re.match(r"context\s+(\d+)$", line)
+            if not mctx:
+                raise ParseError(f"expected 'context <id>', got {line!r}", line=lineno)
+            cid, alphabet, aux, kb, br = int(mctx.group(1)), [], [], [], []
+            sections.append((cid, alphabet, aux, kb, br))
+            expect, rules = "atoms", kb
+    if expect in ("mcs", "atoms"):
+        raise ParseError("unexpected end of input")
+    if expect in ("aux", "kb"):
+        raise ParseError("expected 'kb' section", line=lineno)
+    if expect == "kb rules":
+        raise ParseError("expected 'br' section")
+    if len(sections) != n:
+        raise ParseError(f"header declares {n} contexts, found {len(sections)}")
 
-    def peek() -> tuple[str, int] | None:
-        nonlocal pos
-        while pos < len(lines):
-            stripped = lines[pos].split("%", 1)[0].strip()
-            if stripped:
-                return stripped, pos + 1
-            pos += 1
-        return None
-
-    def take() -> tuple[str, int]:
-        nonlocal pos
-        item = peek()
-        if item is None:
-            raise ParseError("unexpected end of input")
-        pos += 1
-        return item
-
-    header, lineno = take()
-    mhead = re.match(r"mcs\s+(\d+)$", header)
-    if not mhead:
-        raise ParseError("expected 'mcs <n>' header", line=lineno)
-    n = int(mhead.group(1))
-
+    refs = {(a.context_id, a.name): a for _, alphabet, aux, _, _ in sections for a in alphabet + aux}
     contexts: list[Context] = []
-    declared: dict[int, tuple[tuple[Atom, ...], tuple[Atom, ...]]] = {}
-    raw_sections: list[tuple[int, tuple[Atom, ...], tuple[Atom, ...], list[tuple[str, int]], list[tuple[str, int]]]] = []
-
-    while peek() is not None:
-        line, lineno = take()
-        mctx = re.match(r"context\s+(\d+)$", line)
-        if not mctx:
-            raise ParseError(f"expected 'context <id>', got {line!r}", line=lineno)
-        cid = int(mctx.group(1))
-        line, lineno = take()
-        if not line.startswith("atoms"):
-            raise ParseError("expected 'atoms ...' after context header", line=lineno)
-        names = line[len("atoms"):].split()
-        alphabet = tuple(Atom(cid, nm) for nm in names)
-        aux: tuple[Atom, ...] = ()
-        item = peek()
-        if item and item[0].startswith("aux"):
-            line, lineno = take()
-            aux = tuple(Atom(cid, nm) for nm in line[len("aux"):].split())
-        item = peek()
-        if item is None or item[0] != "kb":
-            raise ParseError("expected 'kb' section", line=item[1] if item else lineno)
-        take()
-        kb_lines: list[tuple[str, int]] = []
-        while (item := peek()) is not None and item[0] != "br":
-            if item[0].startswith("context"):
-                raise ParseError("expected 'br' section", line=item[1])
-            kb_lines.append(take())
-        if peek() is None:
-            raise ParseError("expected 'br' section")
-        take()  # 'br'
-        br_lines: list[tuple[str, int]] = []
-        while (item := peek()) is not None and not item[0].startswith("context"):
-            br_lines.append(take())
-        declared[cid] = (alphabet, aux)
-        raw_sections.append((cid, alphabet, aux, kb_lines, br_lines))
-
-    if len(raw_sections) != n:
-        raise ParseError(f"header declares {n} contexts, found {len(raw_sections)}")
-
-    for cid, alphabet, aux, kb_lines, br_lines in raw_sections:
-        local_names = {a.name: a for a in alphabet + aux}
-        kb_text = "\n".join(t for t, _ in kb_lines)
-        try:
-            kb = asp.parse_program(kb_text, local_names)
-        except ParseError as e:
-            raise ParseError(f"context {cid} kb: {e}") from None
-        br = tuple(_parse_bridge_rules(br_lines, cid, local_names, declared))
-        contexts.append(Context(cid, alphabet, kb, br, aux))
+    for cid, alphabet, aux, kb_lines, br_lines in sections:
+        local = {a.name: a for a in alphabet + aux}
+        kb = tuple(asp.parse_rule(stmt, local, ln) for stmt, ln in asp._split_statements(kb_lines))
+        br = []
+        for stmt, ln in asp._split_statements(br_lines):
+            head_txt, arrow, body_txt = stmt.partition(":-")
+            if not arrow:
+                raise ParseError("bridge rule needs a body", line=ln)
+            head = local.get(head_txt.strip())
+            if head is None:
+                raise ParseError(f"bridge head {head_txt.strip()!r} not in the alphabet", line=ln)
+            body = asp.parse_rule(arrow + body_txt, refs, ln)
+            br.append(BridgeRule(head, body.body_pos, body.body_neg))
+        contexts.append(Context(cid, tuple(alphabet), kb, tuple(br), tuple(aux)))
     return System(tuple(contexts))
-
-
-def _parse_bridge_rules(
-    br_lines: list[tuple[str, int]],
-    cid: int,
-    local_names: dict[str, Atom],
-    declared: dict[int, tuple[tuple[Atom, ...], tuple[Atom, ...]]],
-) -> list[BridgeRule]:
-    out: list[BridgeRule] = []
-    text = "\n".join(t for t, _ in br_lines)
-    base_line = br_lines[0][1] if br_lines else 0
-    for stmt, rel in asp._split_statements(text):
-        lineno = base_line + rel - 1
-        if ":-" not in stmt:
-            raise ParseError("bridge rule needs a body", line=lineno)
-        head_txt, body_txt = stmt.split(":-", 1)
-        head_txt = head_txt.strip()
-        if head_txt not in local_names:
-            raise ParseError(f"bridge head {head_txt!r} not in the alphabet", line=lineno)
-        head = local_names[head_txt]
-        pos_atoms: set[Atom] = set()
-        neg_atoms: set[Atom] = set()
-        for part in body_txt.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            neg = part.startswith("not ")
-            if neg:
-                part = part[4:].strip()
-            mref = _BRIDGE_REF_RE.fullmatch(part)
-            if not mref:
-                raise ParseError(f"bridge body literal must be (<context>:<atom>), got {part!r}", line=lineno)
-            rid, rname = int(mref.group(1)), mref.group(2)
-            if rid not in declared:
-                raise ParseError(f"bridge literal references unknown context {rid}", line=lineno)
-            ralpha, raux = declared[rid]
-            lookup = {a.name: a for a in ralpha + raux}
-            if rname not in lookup:
-                raise ParseError(f"({rid}:{rname}) does not name a declared atom", line=lineno)
-            (neg_atoms if neg else pos_atoms).add(lookup[rname])
-        out.append(BridgeRule(head, frozenset(pos_atoms), frozenset(neg_atoms)))
-    return out
 
 
 def emit_bridge_rule(b: BridgeRule) -> str:

@@ -23,6 +23,7 @@ bijection onto the surviving original states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterable
 
 from .asp import Rule
@@ -233,17 +234,22 @@ def extend_mcs(
     """Rewrite the system with the permutation constraints of ``perms``.
 
     Permutations are encoded in a deterministic order (ascending support size,
-    then cycle notation) under tags ``p0, p1, ...``; identities are skipped.
+    then cycle notation) under the tags ``p0, p1, ...`` that no atom of ``m``
+    already uses, so a rewrite of a rewrite adds chains of its own; identities
+    are skipped.
     """
     if order is None:
         order = default_order(m)
     todo = sorted({p for p in perms if not p.is_identity()}, key=perm_sort_key)
+    used = {
+        a.name.split("_", 2)[1] for c in m.contexts for a in c.alphabet + c.aux if a.name.startswith("sbc_")
+    }
+    tags = (tag for tag in (f"p{i}" for i in count()) if tag not in used)
     merged: dict[int, ContextAdditions] = {}
-    for idx, pi in enumerate(todo):
-        for cid, add in encode_asp(m, pi, order, f"p{idx}").items():
+    for pi, tag in zip(todo, tags):
+        for cid, add in encode_asp(m, pi, order, tag).items():
             into = merged.setdefault(cid, ContextAdditions())
-            for a in add.aux:
-                into.declare(a)
+            into.aux.extend(add.aux)
             into.kb.extend(add.kb)
             into.br.extend(add.br)
     contexts = []
@@ -258,7 +264,7 @@ def extend_mcs(
                     c.alphabet,
                     c.kb + tuple(add.kb),
                     c.br + tuple(add.br),
-                    c.aux + tuple(a for a in add.aux if a not in c.aux),
+                    c.aux + tuple(add.aux),
                 )
             )
     return System(tuple(contexts))

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import csv
 import io
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,8 @@ from mcsym import (
     parse_system,
 )
 from mcsym.cli import main
+
+ROOT = Path(__file__).parent.parent
 
 DETECT_ROOT1 = """\
 PERMSET 4 complete
@@ -335,3 +340,27 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout == DETECT_ROOT1
+
+
+def _readme_transcripts():
+    """Each ``$ mcsym ...`` transcript of README.md with its printed output.
+
+    Fenced blocks that elide output with ``...`` are left out.
+    """
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    out = []
+    for block in re.findall(r"^```\n(\$ mcsym .*?)^```", readme, re.M | re.S):
+        if "..." in block:
+            continue
+        for transcript in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, stdout = transcript.partition("\n")
+            out.append(pytest.param(command, stdout, id=command))
+    return out
+
+
+class TestReadme:
+    @pytest.mark.parametrize("command, stdout", _readme_transcripts())
+    def test_transcript_prints_what_the_readme_shows(self, command, stdout, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        assert main(shlex.split(command)[1:]) == 0
+        assert capsys.readouterr().out == stdout

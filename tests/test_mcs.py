@@ -538,6 +538,43 @@ class TestFileFormat:
                 "mcs 1\ncontext 1\n  atoms p\n  kb\n  br\n    p :- (2:q).\n"
             )
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            pytest.param(
+                "mcs 2\ncontext 1\n  atoms a b\n  kb\n    a :- not b.\n"
+                "  % a comment\n\n    b :- zz.\n  br\n"
+                "context 2\n  atoms q\n  kb\n  br\n",
+                8,
+                id="kb-after-comment-and-blank",
+            ),
+            pytest.param(
+                "mcs 2\ncontext 1\n  atoms a b\n  kb\n  br\n    a :- (2:q).\n"
+                "  % a comment\n\n    b :- not (2:zz).\n"
+                "context 2\n  atoms q\n  kb\n  br\n",
+                9,
+                id="br-after-comment-and-blank",
+            ),
+            pytest.param(
+                "mcs 1\ncontext 1\n  atoms a b\n  kb\n    a :- not b.\n"
+                "    b :- not a,\n         zz.\n  br\n",
+                6,
+                id="statement-over-two-lines",
+            ),
+            pytest.param(
+                "mcs 1\ncontext 1\n  atoms a b\n  kb\n  br\n    a :- (1:b).\n"
+                "    b :- (9:q).\n",
+                7,
+                id="unknown-context-in-bridge-literal",
+            ),
+        ],
+    )
+    def test_errors_name_the_file_line(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_system(text)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: ")
+
     def test_emitted_random_systems_reparse(self):
         rng = random.Random(3)
         for _ in range(20):

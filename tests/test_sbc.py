@@ -23,6 +23,7 @@ from mcsym import (
     evaluate_distributed,
     extend_mcs,
     lex_leader_filter,
+    parse_cycles,
     parse_system,
     pc_satisfied,
     project_original,
@@ -257,6 +258,26 @@ class TestExtend:
             want = {s for s in partial_wrt_1(example1) if pc_satisfied(s, p, order)}
             for solve in (enumerate_partial_equilibria, evaluate_distributed):
                 assert {project_original(m1, s) for s in solve(m1, 1)} == want
+
+    def test_rewriting_a_rewrite_keeps_the_constraint_satisfiers(self):
+        # the second rewrite's chain atoms must not reuse the first one's
+        names = "abcdefg"
+        m = parse_system(
+            "mcs 1\ncontext 1\n  atoms " + " ".join([*names, *("n" + x for x in names)])
+            + "\n  kb\n" + "".join(f"    {x} :- not n{x}.\n    n{x} :- not {x}.\n" for x in names)
+            + "  br\n"
+        )
+        order = default_order(m)
+        p = parse_cycles("(a e f d)(b c)", m.context(1).alphabet)
+        q = parse_cycles("(a b)(c e g d f)", m.context(1).alphabet)
+        want = {
+            s for s in enumerate_partial_equilibria(m, 1)
+            if pc_satisfied(s, p, order) and pc_satisfied(s, q, order)
+        }
+        assert len(want) == 40
+        for m2 in (extend_mcs(extend_mcs(m, [p]), [q]), extend_mcs(m, [p, q])):
+            assert {project_original(m2, s) for s in evaluate_distributed(m2, 1)} == want
+            assert parse_system(emit_system(m2)) == m2
 
     def test_closed_set_keeps_exactly_the_lex_leaders(self, example1, order):
         perms = dsd(example1, 1)
