@@ -280,36 +280,38 @@ def stratify(aux_program: Sequence[Rule]) -> Strata:
 
     Returns its proper rules as ``(head, body_pos, body_neg)``, ordered so
     that every head comes after the heads it depends on, and its integrity
-    constraints in program order.  Raises :class:`InternalError` on a
-    disjunctive rule or a cyclic dependency.
+    constraints in program order.  The depth-first walk keeps its own stack,
+    so a long dependency chain does not exhaust Python's.  Raises
+    :class:`InternalError` on a disjunctive rule or a cyclic dependency.
     """
-    heads: set[Atom] = set()
+    by_head: dict[Atom, list[Rule]] = {}
     for r in aux_program:
         if len(r.head) > 1:
             raise InternalError("auxiliary rules must have at most one head atom")
-        heads |= r.head
-    deps: dict[Atom, set[Atom]] = {h: set() for h in heads}
-    by_head: dict[Atom, list[Rule]] = {h: [] for h in heads}
-    for r in aux_program:
         for h in r.head:
-            deps[h] |= (r.body_pos | r.body_neg) & heads
-            by_head[h].append(r)
+            by_head.setdefault(h, []).append(r)
+
     order: list[tuple[Atom, frozenset[Atom], frozenset[Atom]]] = []
-    state: dict[Atom, int] = {}
-
-    def visit(a: Atom) -> None:
-        if state.get(a) == 2:
-            return
-        if state.get(a) == 1:
-            raise InternalError(f"auxiliary rules are cyclic at {a.name}")
-        state[a] = 1
-        for b in sorted(deps[a]):
-            visit(b)
-        state[a] = 2
-        order.extend((a, r.body_pos, r.body_neg) for r in by_head[a])
-
-    for h in sorted(heads):
-        visit(h)
+    opened: set[Atom] = set()
+    done: set[Atom] = set()
+    # per open head, the heads it has still to visit, below a virtual head
+    # (None) that depends on every head
+    path = [(None, iter(sorted(by_head)))]
+    while path:
+        a, todo = path[-1]
+        for b in todo:
+            if b in done:
+                continue
+            if b in opened:
+                raise InternalError(f"auxiliary rules are cyclic at {b.name}")
+            opened.add(b)
+            deps = {c for r in by_head[b] for c in (*r.body_pos, *r.body_neg) if c in by_head}
+            path.append((b, iter(sorted(deps))))
+            break
+        else:
+            path.pop()
+            done.add(a)
+            order += [(a, r.body_pos, r.body_neg) for r in by_head.get(a, ())]
     return tuple(order), tuple(r for r in aux_program if r.is_constraint())
 
 

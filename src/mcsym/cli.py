@@ -116,9 +116,7 @@ def cmd_break(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     m = load_system(args.file)
-    if args.root is None:
-        states = enumerate_partial_equilibria(m, None, bound=args.bound)
-    elif args.naive:
+    if args.naive:
         states = enumerate_partial_equilibria(m, args.root, bound=args.bound)
     else:
         states = evaluate_distributed(m, args.root, bound=args.bound)

@@ -281,24 +281,32 @@ class DetectionService:
         return self._reply(k, set(visited))
 
     def _reply(self, k: int, asked: set[int]) -> PermSet:
-        # neighbours are asked through here, so one outside request is one
-        # call of ``request``
-        self.log.append((f"DSD {k} H={','.join(map(str, sorted(asked))) or '-'}",))
-        asked.add(k)
-        self.requests[k] += 1
-        if k in self._local:
-            self.cache_hits[k] += 1
-        else:
-            self._local[k] = lsd(self.m, k, mode=self.mode)
-        perms = self._local[k]
-        for i in sorted(self.m.context(k).imports):
-            if i not in asked:
-                payload = self._reply(i, asked)
-                got = payload.perms if payload.complete else group_closure(payload.perms)
-                perms = join_sets(perms, got)
-        reply = PermSet(perms)
-        # the identity alone has no generators to carry its domain
-        if len(perms) > max(self.message_cap, 1):
-            reply = PermSet(frozenset(reduce_irredundant(perms)), complete=False)
-        self.log.append(reply)
-        return reply
+        # neighbours are asked through here, so one outside request is one call
+        # of ``request``; a stack of open requests, not Python's, holds each
+        # one's set so far and the imports it has still to ask
+        opened: list[list] = []
+        i: int | None = k
+        while True:
+            if i is not None:
+                self.log.append((f"DSD {i} H={','.join(map(str, sorted(asked))) or '-'}",))
+                asked.add(i)
+                self.requests[i] += 1
+                if i in self._local:
+                    self.cache_hits[i] += 1
+                else:
+                    self._local[i] = lsd(self.m, i, mode=self.mode)
+                opened.append([self._local[i], iter(sorted(self.m.context(i).imports))])
+            perms, todo = opened[-1]
+            i = next((j for j in todo if j not in asked), None)
+            if i is not None:
+                continue
+            reply = PermSet(perms)
+            # the identity alone has no generators to carry its domain
+            if len(perms) > max(self.message_cap, 1):
+                reply = PermSet(frozenset(reduce_irredundant(perms)), complete=False)
+            self.log.append(reply)
+            opened.pop()
+            if not opened:
+                return reply
+            got = reply.perms if reply.complete else group_closure(reply.perms)
+            opened[-1][0] = join_sets(opened[-1][0], got)

@@ -24,9 +24,11 @@ table entry for its bridge input, which is computed when first read; any
 other member draws from all its entries, and its candidate is accepted by a
 lookup in that table as soon as the member and its imports are assigned.
 The auxiliary atoms are completed only at the leaves, where a whole
-assignment of the closure becomes a belief state, and the completion
-reports whether it violates an auxiliary constraint.  Nothing the search
-derives outlives the call: the tables, masks and bit numbering are local to it.
+assignment of the closure becomes a belief state: the members' auxiliary
+layer is one stratified program over context-qualified atoms (Apt, Blair &
+Walker 1988), put in order once per call, and one pass over it completes a
+leaf and reports whether an auxiliary constraint is violated.  Nothing the
+search derives outlives the call: tables, masks and programs are local to it.
 
 What the solver derives from a context is computed once, when first used, and
 kept on the context: its original alphabet as a set, its atoms with the
@@ -41,7 +43,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from . import asp
 from .asp import Rule, evaluate_stratified, is_answer_set
@@ -287,18 +289,6 @@ def _facts(atoms: Iterable[Atom]) -> list[Rule]:
     return [Rule(frozenset({a}), frozenset(), frozenset()) for a in atoms]
 
 
-def _extend_aux(
-    ctx: Context, x: frozenset[Atom], heads: frozenset[Atom]
-) -> tuple[frozenset[Atom], tuple[Rule, ...]]:
-    """Complete the original belief set ``x`` by the context's auxiliary part.
-
-    Returns the extended set and the violated auxiliary constraints.  Bridge
-    heads are local atoms, so those outside the original alphabet are aux,
-    and they hold before any auxiliary rule is evaluated.
-    """
-    return evaluate_stratified(x | (heads - ctx.original), ctx.aux_strata)
-
-
 def _acceptable(ctx: Context, s_i: frozenset[Atom], heads: frozenset[Atom]) -> bool:
     """Whether ``s_i`` is an acceptable belief set of ``ctx`` under bridge input ``heads``."""
     if not s_i <= ctx.atoms:
@@ -308,7 +298,9 @@ def _acceptable(ctx: Context, s_i: frozenset[Atom], heads: frozenset[Atom]) -> b
         return False
     if not ctx.aux:
         return s_i == x
-    ext, violated = _extend_aux(ctx, x, heads)
+    # bridge heads outside the original alphabet are aux, and hold before
+    # any auxiliary rule is evaluated
+    ext, violated = evaluate_stratified(x | (heads - ctx.original), ctx.aux_strata)
     return not violated and s_i == ext
 
 
@@ -350,39 +342,34 @@ def _check_bound(bound: int) -> None:
         raise ParseError(f"bound must be at least 0, got {bound}")
 
 
-def _complete_aux(
-    m: System, assignment: dict[int, frozenset[Atom]]
-) -> tuple[dict[int, frozenset[Atom]], bool]:
-    """Deterministically extend original-atom components by auxiliary atoms.
+def _aux_program(m: System, ids: Iterable[int]) -> asp.Strata:
+    """The auxiliary layer of the contexts ``ids`` as one program in evaluation order.
 
-    Returns the completed components, and whether the final extension of
-    some member violates one of its auxiliary constraints.  Auxiliary rules
-    are acyclic across the system, so iterating the per-context stratified
-    completion converges; the round cap guards the invariant.
+    Its rules are the auxiliary kb rules and the bridge rules with auxiliary
+    heads, which over context-qualified atoms are ordinary rules.  ``ids``
+    must be closed under imports; a cycle raises :class:`InternalError`.
     """
-    current = dict(assignment)
-    total_aux = sum(len(m.context(i).aux) for i in current)
-    inputs: dict[int, frozenset[Atom]] = {}
-    violated: dict[int, bool] = {}
-    for _ in range(total_aux + 2):
-        changed = False
-        state = dict(current)  # each round reads the previous round's sets
-        for i in state:
-            ctx = m.context(i)
-            if not ctx.aux:
-                continue
-            heads = _fired(ctx.br, state)
-            if inputs.get(i) == heads:
-                continue  # the same bridge input completes to the same set
-            inputs[i] = heads
-            ext, bad = _extend_aux(ctx, current[i] & ctx.original, heads)
-            violated[i] = bool(bad)
-            if ext != current[i]:
-                current[i] = ext
-                changed = True
-        if not changed:
-            return current, any(violated.values())
-    raise InternalError("auxiliary completion did not converge")
+    rules: list[Rule] = []
+    for i in ids:
+        c = m.context(i)
+        rules += c.split_kb[1]
+        rules += (Rule(frozenset({b.head}), b.body_pos, b.body_neg) for b in c.br if b.head not in c.original)
+    return asp.stratify(rules)
+
+
+def _complete_aux(
+    strata: asp.Strata, assignment: Mapping[int, frozenset[Atom]]
+) -> tuple[dict[int, frozenset[Atom]], bool]:
+    """Extend original-atom components by what the auxiliary program ``strata`` derives.
+
+    Also returns whether an auxiliary constraint is violated (see :func:`_aux_program`).
+    """
+    x = frozenset().union(*assignment.values())
+    ext, violated = evaluate_stratified(x, strata)
+    derived: dict[int, set[Atom]] = {i: set() for i in assignment}
+    for a in ext - x:
+        derived[a.context_id].add(a)
+    return {i: s | derived[i] for i, s in assignment.items()}, bool(violated)
 
 
 def enumerate_partial_equilibria(
@@ -402,11 +389,12 @@ def enumerate_partial_equilibria(
     for i in ids:
         cand = _candidate_atoms(m.context(i), bound)
         pools.append([frozenset(sub) for r in range(len(cand) + 1) for sub in combinations(cand, r)])
+    strata = _aux_program(m, ids)
     out = []
     eps_ids = [i for i in m.ids if i not in ids]
     for combo in product(*pools):
         assignment = dict(zip(ids, combo))
-        completed, _ = _complete_aux(m, assignment)
+        completed, _ = _complete_aux(strata, assignment)
         full = {**completed, **{i: None for i in eps_ids}}
         state = BeliefState.make(full)
         if _equilibrium_on(m, state, frozenset(ids)):
@@ -454,16 +442,6 @@ def _local_table(ctx: Context, bound: int) -> _LocalTable:
     return _LocalTable(bottom, sorted(ctx.original), bound)
 
 
-def _fired(rules: Sequence[BridgeRule], assignment: Mapping[int, frozenset[Atom]]) -> frozenset[Atom]:
-    """Heads of the ``rules`` applicable under ``assignment``, which defines every body context."""
-    return frozenset(
-        b.head
-        for b in rules
-        if all(a in assignment[a.context_id] for a in b.body_pos)
-        and not any(a in assignment[a.context_id] for a in b.body_neg)
-    )
-
-
 _Compiled = tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
 
 
@@ -480,13 +458,15 @@ def _fired_mask(rules: _Compiled, assignment: list[int]) -> int:
     return heads
 
 
-def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[BeliefState]:
+def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset[BeliefState]:
     """Partial equilibria w.r.t. C_k, by one backtracking search over IC(k).
 
-    Equivalent to :func:`enumerate_partial_equilibria`.  The members are
-    assigned in depth-first post-order over import edges from ``k``, so
-    outside import cycles a context comes after everything it imports.  Each
-    member has a table of local answer sets per bridge input (see
+    Equivalent to :func:`enumerate_partial_equilibria`; ``k=None`` gives the
+    equilibria of the whole system.  The members are assigned in depth-first
+    post-order over import edges from ``k`` (from each context in id order
+    when ``k`` is None), so outside import cycles a context comes after
+    everything it imports; the walk and the search keep their own stacks.
+    Each member has a table of local answer sets per bridge input (see
     :func:`_local_table`), made per call and filled as the search reads it.
     Only bridge rules with original heads feed the table: :class:`System`
     rejects any that read auxiliary atoms, so their heads are the same before
@@ -499,23 +479,27 @@ def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[Belief
     itself) draws its candidates from the table entry for its bridge input,
     and reads no other entry.  Any other member draws them from the union of
     its whole table, and is checked by a lookup at the first depth where it
-    and all its imports are assigned.  At a leaf the auxiliary atoms are
-    completed, and the state is kept when no member's completion violates an
-    auxiliary constraint; when no member carries auxiliary atoms there is
-    nothing to complete.  A negative ``bound`` is a :class:`ParseError`.
+    and all its imports are assigned.  At a leaf one pass over the members'
+    auxiliary program (see :func:`_aux_program`) completes the auxiliary
+    atoms, and the state is kept when that violates no auxiliary constraint;
+    when no member carries auxiliary atoms there is nothing to complete.  A
+    negative ``bound`` is a :class:`ParseError`.
     """
     _check_bound(bound)
-    order: list[int] = []
+    # per open context, the imports still to visit; a virtual None imports the roots
+    order: list = []
     seen: set[int] = set()
-
-    def visit(i: int) -> None:
-        seen.add(i)
-        for j in sorted(m.context(i).imports):
-            if j not in seen:
-                visit(j)
-        order.append(i)
-
-    visit(k)
+    path = [(None, iter(m.ids if k is None else (k,)))]
+    while path:
+        i, todo = path[-1]
+        j = next((j for j in todo if j not in seen), None)
+        if j is None:
+            path.pop()
+            order.append(i)
+        else:
+            seen.add(j)
+            path.append((j, iter(sorted(m.context(j).imports))))
+    order.pop()  # the virtual context
     members = [m.context(i) for i in order]
     position = {i: d for d, i in enumerate(order)}
     tables = [_local_table(c, bound) for c in members]
@@ -548,7 +532,7 @@ def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[Belief
             for hs in combinations(bits, r)
             for mask, s in tables[d][sum(hs)].items()
         }
-    has_aux = any(c.aux for c in members)
+    strata = _aux_program(m, order) if any(c.aux for c in members) else None
     ids = m.ids
     slots = [ids.index(i) for i in order]
     out: list[BeliefState] = []
@@ -556,30 +540,37 @@ def evaluate_distributed(m: System, k: int, bound: int = 20) -> frozenset[Belief
     # row holds the members' sets at their places in a belief state
     assignment = [0] * len(order)
     row: list[frozenset[Atom] | None] = [None] * len(ids)
-
-    def search(depth: int) -> None:
+    # per depth entered: the member's candidates not yet tried
+    untried: list[Iterator[tuple[int, frozenset[Atom]]]] = []
+    depth = 0
+    while depth >= 0:
         if depth == len(order):
-            if not has_aux:
+            if strata is None:
                 out.append(BeliefState(tuple(zip(ids, row))))
-                return
-            completed, violated = _complete_aux(m, {i: s for i, s in zip(ids, row) if s is not None})
-            if not violated:
-                out.append(BeliefState(tuple((i, completed.get(i)) for i in ids)))
-            return
-        pool = pools[depth]
-        if pool is None:
-            pool = tables[depth][_fired_mask(rules[depth], assignment)]
+            else:
+                completed, violated = _complete_aux(strata, {i: s for i, s in zip(ids, row) if s is not None})
+                if not violated:
+                    out.append(BeliefState(tuple((i, completed.get(i)) for i in ids)))
+            depth -= 1
+            continue
+        if depth == len(untried):
+            pool = pools[depth]
+            if pool is None:
+                pool = tables[depth][_fired_mask(rules[depth], assignment)]
+            untried.append(iter(pool.items()))
         checks = checks_at[depth]
         at = slots[depth]
-        for mask, s in pool.items():
+        for mask, s in untried[depth]:
             assignment[depth] = mask
             row[at] = s
             if not checks or all(
                 assignment[p] in tables[p][_fired_mask(rules[p], assignment)] for p in checks
             ):
-                search(depth + 1)
-
-    search(0)
+                depth += 1
+                break
+        else:
+            untried.pop()
+            depth -= 1
     return frozenset(out)
 
 

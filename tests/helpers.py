@@ -1,10 +1,12 @@
-"""Shared test helpers: cycle views, atom lookup, seeded random systems, reference refinement."""
+"""Shared test helpers: cycle views, atom lookup, seeded random systems, reference refinement and completion."""
 
 from __future__ import annotations
 
 import random
+from typing import Mapping, Sequence
 
-from mcsym import Atom, BridgeRule, Context, Rule, System, emit_cycles
+from mcsym import Atom, BridgeRule, Context, InternalError, Rule, System, emit_cycles, parse_system
+from mcsym.asp import evaluate_stratified
 
 
 def cyc(perms) -> set[str]:
@@ -36,6 +38,78 @@ def signature_refinement(g, colours=None) -> tuple[int, ...]:
         if nxt == cur:
             return tuple(nxt)
         cur = nxt
+
+
+def _extend_aux(
+    ctx: Context, x: frozenset[Atom], heads: frozenset[Atom]
+) -> tuple[frozenset[Atom], tuple[Rule, ...]]:
+    """Complete the original belief set ``x`` by the context's auxiliary part.
+
+    Returns the extended set and the violated auxiliary constraints.  Bridge
+    heads are local atoms, so those outside the original alphabet are aux,
+    and they hold before any auxiliary rule is evaluated.
+    """
+    return evaluate_stratified(x | (heads - ctx.original), ctx.aux_strata)
+
+
+def round_based_completion(
+    m: System, assignment: dict[int, frozenset[Atom]]
+) -> tuple[dict[int, frozenset[Atom]], bool]:
+    """Reference auxiliary completion: per-context completions iterated in rounds.
+
+    Deterministically extend original-atom components by auxiliary atoms.
+    Returns the completed components, and whether the final extension of
+    some member violates one of its auxiliary constraints.  Auxiliary rules
+    are acyclic across the system, so iterating the per-context stratified
+    completion converges; the round cap guards the invariant.
+    """
+    current = dict(assignment)
+    total_aux = sum(len(m.context(i).aux) for i in current)
+    inputs: dict[int, frozenset[Atom]] = {}
+    violated: dict[int, bool] = {}
+    for _ in range(total_aux + 2):
+        changed = False
+        state = dict(current)  # each round reads the previous round's sets
+        for i in state:
+            ctx = m.context(i)
+            if not ctx.aux:
+                continue
+            heads = _fired(ctx.br, state)
+            if inputs.get(i) == heads:
+                continue  # the same bridge input completes to the same set
+            inputs[i] = heads
+            ext, bad = _extend_aux(ctx, current[i] & ctx.original, heads)
+            violated[i] = bool(bad)
+            if ext != current[i]:
+                current[i] = ext
+                changed = True
+        if not changed:
+            return current, any(violated.values())
+    raise InternalError("auxiliary completion did not converge")
+
+
+def _fired(rules: Sequence[BridgeRule], assignment: Mapping[int, frozenset[Atom]]) -> frozenset[Atom]:
+    """Heads of the ``rules`` applicable under ``assignment``, which defines every body context."""
+    return frozenset(
+        b.head
+        for b in rules
+        if all(a in assignment[a.context_id] for a in b.body_pos)
+        and not any(a in assignment[a.context_id] for a in b.body_neg)
+    )
+
+
+def chain_system(n: int) -> System:
+    """``n`` contexts in an import chain, each importing the next.
+
+    Context i has ``b :- a.`` and reads its ``a`` from context i + 1; the
+    last context chooses one of ``a`` and ``b``.  So the chain has two
+    equilibria, and C_1's import closure is the whole chain.
+    """
+    lines = [f"mcs {n}"]
+    for i in range(1, n):
+        lines += [f"context {i}", "atoms a b", "kb", "b :- a.", "br", f"a :- ({i + 1}:a)."]
+    lines += [f"context {n}", "atoms a b", "kb", "a :- not b.", "b :- not a.", "br"]
+    return parse_system("\n".join(lines) + "\n")
 
 
 def atoms_of(m: System, *names: str) -> tuple[Atom, ...]:

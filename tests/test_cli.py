@@ -254,6 +254,29 @@ class TestSolve:
         main(["solve", str(example1_path), "--root", "2", "--naive"])
         assert capsys.readouterr().out == fast
 
+    def test_without_root_uses_the_search(self, example1_path, example1, capsys, monkeypatch):
+        # only --naive reaches the exhaustive reference
+        def oracle(*args, **kwargs):
+            raise AssertionError("the reference search was called")
+
+        monkeypatch.setattr("mcsym.cli.enumerate_partial_equilibria", oracle)
+        assert main(["solve", str(example1_path)]) == 0
+        want = sorted(evaluate_distributed(example1, None), key=lambda s: s.sort_key())
+        assert capsys.readouterr().out == "".join(str(s) + "\n" for s in want)
+
+    @pytest.mark.parametrize("extra", [[], ["--root", "1"], ["--naive"]])
+    def test_cross_context_aux_cycle_exits_4(self, extra, tmp_path, capsys):
+        # x and y are aux atoms that derive each other through br rules
+        cyclic = tmp_path / "cyclic.mcs"
+        cyclic.write_text(
+            "mcs 2\n"
+            "context 1\n  atoms a\n  aux x\n  kb\n    a.\n  br\n    x :- (2:y).\n"
+            "context 2\n  atoms b\n  aux y\n  kb\n    b.\n  br\n    y :- (1:x).\n"
+        )
+        assert main(["solve", str(cyclic), *extra]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "auxiliary rules are cyclic at x" in err
+
     def test_tight_bound_exits_3(self, example1_path, capsys):
         assert main(["solve", str(example1_path), "--bound", "0"]) == 3
         assert "error" in capsys.readouterr().err

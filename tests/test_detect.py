@@ -30,7 +30,7 @@ from mcsym.autograph import automorphism_generators
 from mcsym import detect
 from mcsym.detect import DetectionService, exported_atoms
 
-from helpers import atoms_of, cyc, random_system
+from helpers import atoms_of, chain_system, cyc, random_system
 
 FOUR = {"()", "(1.a 1.b)(2.d 2.e)", "(1.a 1.b)(2.d 2.e)(2.f 2.g)", "(2.f 2.g)"}
 
@@ -178,6 +178,13 @@ class TestService:
         svc = DetectionService(example1)
         svc.request(1)
         assert svc.requests[3] == 0
+
+    def test_long_import_chain_needs_no_recursion(self):
+        # open requests are kept on the service's own stack
+        m = chain_system(1100)
+        svc = DetectionService(m)
+        assert svc.request(1).perms == dsd(m, 1)
+        assert len(svc.log) == 3301 and set(svc.requests.values()) == {1}
 
     def test_log_carries_wire_format(self, example1):
         svc = DetectionService(example1)

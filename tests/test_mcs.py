@@ -21,6 +21,7 @@ from mcsym import (
     applicable,
     apply,
     brute_force_partial_symmetries,
+    default_order,
     dsd,
     emit_system,
     enumerate_partial_equilibria,
@@ -41,7 +42,16 @@ from mcsym import (
 )
 
 import mcsym.asp
-from helpers import atoms_of, cyc, random_system, state_of, with_random_aux_layer
+import mcsym.mcs
+from helpers import (
+    atoms_of,
+    chain_system,
+    cyc,
+    random_system,
+    round_based_completion,
+    state_of,
+    with_random_aux_layer,
+)
 
 
 @pytest.fixture(scope="module")
@@ -198,17 +208,18 @@ class TestEquilibria:
         rng = random.Random(20260816)
         for _ in range(25):
             m = random_system(rng, max_contexts=3, max_atoms=3)
-            for k in m.ids:
+            for k in (*m.ids, None):
                 assert evaluate_distributed(m, k) == enumerate_partial_equilibria(m, k)
         # larger closures: shared dependencies (diamonds), chords and cycles
         for _ in range(6):
             m = random_system(rng, min_contexts=4, max_contexts=5, max_atoms=3)
-            for k in m.ids:
+            for k in (*m.ids, None):
                 assert evaluate_distributed(m, k) == enumerate_partial_equilibria(m, k)
         cases = [(t, 4, seed) for t in ("diamond", "zigzag", "ring") for seed in range(4)]
         for topo, n, seed in [*cases, ("house", 5, 0)]:
             m = generate(TopologySpec(topo, n, seed, atoms_per_context=3))
-            assert evaluate_distributed(m, 1) == enumerate_partial_equilibria(m, 1)
+            for k in (1, None):
+                assert evaluate_distributed(m, k) == enumerate_partial_equilibria(m, k)
 
     def test_distributed_matches_with_random_aux_layers(self):
         # the rewrite is not the only source of aux atoms: aux constraints that
@@ -236,6 +247,49 @@ class TestEquilibria:
             for k in m.ids:
                 assert evaluate_distributed(m, k) == enumerate_partial_equilibria(m, k)
         assert self_reading > 50 and cyclic > 25
+
+    def test_one_pass_completion_matches_the_rounds(self):
+        # the reference iterates per-context completions until nothing
+        # changes; the solver and the oracle evaluate the import closure's
+        # auxiliary layer as one program
+        rng = random.Random(20261020)
+        systems = [
+            with_random_aux_layer(rng, random_system(rng, max_contexts=4, max_atoms=3))
+            for _ in range(60)
+        ]
+        for _ in range(30):
+            m = random_system(rng, max_contexts=3, max_atoms=3)
+            breakers = [p for p in dsd(m, 1) if not p.is_identity()]
+            systems.append(extend_mcs(m, breakers, default_order(m)))
+        for seed in range(2):
+            m = generate(TopologySpec("diamond", 4, seed, atoms_per_context=3))
+            breakers = [p for p in dsd(m, 1) if not p.is_identity()]
+            systems.append(extend_mcs(m, breakers, default_order(m)))
+        derived = violated = 0
+        for m in systems:
+            for k in m.ids:
+                closure = sorted(import_closure(m, k))
+                strata = mcsym.mcs._aux_program(m, closure)
+                for _ in range(8):
+                    assignment = {
+                        i: frozenset(a for a in m.context(i).alphabet if rng.random() < 0.5)
+                        for i in closure
+                    }
+                    got = mcsym.mcs._complete_aux(strata, assignment)
+                    assert got == round_based_completion(m, assignment)
+                    derived += got[0] != assignment
+                    violated += got[1]
+                for s in evaluate_distributed(m, k):
+                    assert is_partial_equilibrium(m, s, k)
+        assert derived > 500 and violated > 200
+
+    def test_long_import_chain_needs_no_recursion(self):
+        # the search and its post-order keep their own stacks
+        m = chain_system(1100)
+        states = evaluate_distributed(m, 1)
+        assert len(states) == 2 and evaluate_distributed(m, None) == states
+        ring = generate(TopologySpec("ring", 1100, 0, pair_probability=0))
+        assert evaluate_distributed(ring, 1) == frozenset()
 
     def test_rule_mixing_original_head_and_aux_fails_when_solved(self):
         # the kb split is checked when first used, not when the system is built
