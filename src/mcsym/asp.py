@@ -3,10 +3,11 @@
 Rules have the shape ``h1 ; h2 :- b1, b2, not c1.`` with an optional head
 (an empty head is an integrity constraint) and an optional body (a fact).
 An answer set holds only atoms that occur in some rule head, and everything
-else is false by default.  So :func:`answer_sets` guesses head atoms only: a
-normal program guesses just those that also occur in a negative body, and
-completes each guess by a least model; a disjunctive program guesses all its
-head atoms and checks each guess by minimality.
+else is false by default.  :func:`answer_set_masks` enumerates answer sets
+over a program that :func:`compile_program` turned into int bit masks once,
+with facts as a mask: a normal program guesses just the head atoms that also
+occur in a negative body, completing each guess by a least model; a
+disjunctive one guesses sets of head atoms and checks each by minimality.
 """
 
 from __future__ import annotations
@@ -222,37 +223,76 @@ def is_answer_set(program: Sequence[Rule], x: frozenset[Atom]) -> bool:
 
 
 def answer_sets(program: Sequence[Rule], bound: int = 20) -> frozenset[frozenset[Atom]]:
-    """All answer sets of ``program``.
-
-    An answer set holds only head atoms.  For a normal program (at most one
-    head atom per rule) the reduct depends only on which head atoms that also
-    occur in a negative body are true, so each guess of those is completed to
-    the least model of the reduct it selects, which is kept when it agrees
-    with the guess and violates no constraint (Gelfond & Lifschitz 1988).  A
-    disjunctive program guesses every subset of its head atoms and checks it
-    with :func:`is_answer_set`.
+    """All answer sets of ``program``, by :func:`answer_set_masks` over its occurring atoms.
 
     Raises :class:`BoundExceeded` when more than ``bound`` atoms occur.
     """
     occ = occurring_atoms(program)
     if len(occ) > bound:
         raise BoundExceeded(f"program has {len(occ)} occurring atoms (bound {bound})")
-    heads = frozenset().union(*(r.head for r in program))
-    if any(len(r.head) > 1 for r in program):
-        return frozenset(x for x in map(frozenset, _subsets(heads)) if is_answer_set(program, x))
-    guessed = heads & frozenset().union(*(r.body_neg for r in program))
+    atoms = sorted(occ)
+    return frozenset(atoms_of_mask(x, atoms) for x in answer_set_masks(compile_program(program, atoms)))
+
+
+def compile_program(program: Iterable[Rule], atoms: Sequence[Atom]) -> tuple[tuple[int, int, int], ...]:
+    """``program`` as ``(head, pos, neg)`` masks per rule, with ``atoms[b]`` as bit ``b``."""
+    bit = {a: 1 << b for b, a in enumerate(atoms)}.__getitem__
+    return tuple(tuple(sum(map(bit, s)) for s in (r.head, r.body_pos, r.body_neg)) for r in program)
+
+
+def atoms_of_mask(x: int, atoms: Sequence[Atom]) -> frozenset[Atom]:
+    """The atoms of the bits set in ``x``, with ``atoms[b]`` as bit ``b``."""
+    return frozenset(a for b, a in enumerate(atoms) if x >> b & 1)
+
+
+def answer_set_masks(program: tuple[tuple[int, int, int], ...], facts: int = 0) -> list[int]:
+    """The answer sets of a compiled ``program`` plus the atoms of ``facts`` as facts.
+
+    For a normal program (at most one head atom per rule) the reduct depends
+    only on which head atoms that also occur in a negative body are true, so
+    each guess of those (facts among them always true) is completed to the
+    least model of the reduct it selects, kept when it agrees with the guess
+    and violates no constraint (Gelfond & Lifschitz 1988).  A disjunctive
+    program guesses every set of head atoms that holds the facts, and keeps a
+    model of its reduct with no smaller model that holds them.
+    """
+    heads, negs = facts, 0
+    for h, _, n in program:
+        heads, negs = heads | h, negs | n
+    disjunctive = any(h & (h - 1) for h, _, _ in program)
+    guessed = heads if disjunctive else heads & negs
     out = []
-    for guess in map(frozenset, _subsets(guessed)):
-        # the reduct under the guess, with the negative bodies left in place
-        kept = [r for r in program if r.body_neg.isdisjoint(guess)]
-        lm = _least_model([r for r in kept if r.head], [r for r in kept if not r.head])
-        if lm is not None and lm & guessed == guess:
+    for guess in _submasks(guessed & ~facts):
+        guess |= guessed & facts
+        kept = [(h, p) for h, p, n in program if not n & guess]
+        if disjunctive:
+            if _models(kept, guess) and not any(
+                _models(kept, y | facts) for y in _submasks(guess & ~facts) if y | facts != guess
+            ):
+                out.append(guess)
+            continue
+        lm, grown = facts, True
+        while grown:
+            grown = False
+            for h, p in kept:
+                if h & ~lm and p & lm == p:
+                    lm, grown = lm | h, True
+        if lm & guessed == guess and not any(not h and p & lm == p for h, p in kept):
             out.append(lm)
-    return frozenset(out)
+    return out
 
 
-def _subsets(atoms: frozenset[Atom]) -> Iterable[tuple[Atom, ...]]:
-    return (sub for k in range(len(atoms) + 1) for sub in combinations(atoms, k))
+def _models(program: list[tuple[int, int]], x: int) -> bool:
+    return all(h & x or p & x != p for h, p in program)
+
+
+def _submasks(x: int) -> Iterator[int]:
+    """Every mask whose bits are among those of ``x``, from ``x`` down to 0."""
+    y = x
+    while y:
+        yield y
+        y = (y - 1) & x
+    yield 0
 
 
 # ---------------------------------------------------------------------------

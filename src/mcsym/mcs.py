@@ -18,9 +18,10 @@ The distributed solver runs one backtracking search over the import closure,
 assigning contexts in depth-first post-order over import edges.  Per call it
 numbers each member's original atoms as bits, so a belief set's original
 part is an int mask, and gives each member a table of its local answer sets
-per subset of its original bridge heads, filled on demand.  A member whose
-imports are all assigned before it takes its candidates straight from the
-table entry for its bridge input, which is computed when first read; any
+per subset of its original bridge heads, filled on demand by one bit-mask
+kernel over its original kb compiled once.  A member whose imports are all
+assigned before it takes its candidates straight from the table entry for
+its bridge input, which is computed when first read; any
 other member draws from all its entries, and its candidate is accepted by a
 lookup in that table as soon as the member and its imports are assigned.
 The auxiliary atoms are completed only at the leaves, where a whole
@@ -285,16 +286,12 @@ def _holds(state: BeliefState | Mapping[int, frozenset[Atom] | None], a: Atom) -
     return a in s
 
 
-def _facts(atoms: Iterable[Atom]) -> list[Rule]:
-    return [Rule(frozenset({a}), frozenset(), frozenset()) for a in atoms]
-
-
 def _acceptable(ctx: Context, s_i: frozenset[Atom], heads: frozenset[Atom]) -> bool:
     """Whether ``s_i`` is an acceptable belief set of ``ctx`` under bridge input ``heads``."""
     if not s_i <= ctx.atoms:
         return False
     x = s_i & ctx.original
-    if not is_answer_set([*ctx.split_kb[0], *_facts(heads & ctx.original)], x):
+    if not is_answer_set([*ctx.split_kb[0], *(asp.rule(head=[a]) for a in heads & ctx.original)], x):
         return False
     if not ctx.aux:
         return s_i == x
@@ -409,37 +406,28 @@ def enumerate_partial_equilibria(
 class _LocalTable(dict):
     """A member's local answer sets per bridge input, each computed when first read.
 
-    Atoms are the context's sorted original atoms, and atom ``atoms[b]`` is
-    bit ``b`` of a mask.  A key is the mask of a set of original bridge heads;
-    its entry maps the mask of each answer set of the original kb plus those
-    heads to the set itself.
+    ``atoms[b]``, of the context's sorted original atoms, is bit ``b`` of a
+    mask, and ``program`` is the original kb compiled over them.  A key is the
+    mask of a set of original bridge heads; its entry maps the mask of each
+    answer set of the original kb plus those heads (by
+    :func:`asp.answer_set_masks`) to its ``(context id, set)``, so a belief
+    set's original part is acceptable under bridge input ``heads`` exactly
+    when its mask is in ``table[mask of heads & ctx.original]``.  ``bound``
+    is checked on the candidate atoms, which hold every entry's atoms.
     """
 
-    def __init__(self, bottom: tuple[Rule, ...], atoms: list[Atom], bound: int) -> None:
+    def __init__(self, ctx: Context, bound: int) -> None:
         super().__init__()
-        self.bottom, self.atoms, self.bound = bottom, atoms, bound
-        self.bit = {a: 1 << b for b, a in enumerate(atoms)}
+        _candidate_atoms(ctx, bound)  # raises past the bound
+        self.id, self.atoms = ctx.id, sorted(ctx.original)
+        self.bit = {a: 1 << b for b, a in enumerate(self.atoms)}
+        self.program = asp.compile_program(ctx.split_kb[0], self.atoms)
 
-    def __missing__(self, heads: int) -> dict[int, frozenset[Atom]]:
-        facts = _facts(a for b, a in enumerate(self.atoms) if heads >> b & 1)
+    def __missing__(self, heads: int) -> dict[int, tuple[int, frozenset[Atom]]]:
         entry = self[heads] = {
-            sum(self.bit[a] for a in s): s
-            for s in asp.answer_sets([*self.bottom, *facts], bound=self.bound)
+            x: (self.id, asp.atoms_of_mask(x, self.atoms)) for x in asp.answer_set_masks(self.program, heads)
         }
         return entry
-
-
-def _local_table(ctx: Context, bound: int) -> _LocalTable:
-    """The answer sets of the original kb plus each subset of the original bridge heads.
-
-    A belief set's original part is acceptable under bridge input ``heads``
-    exactly when its mask is in ``table[mask of heads & ctx.original]``.  The
-    table starts empty and computes an entry the first time it is read; the
-    candidate atoms are checked against ``bound`` here, before any entry.
-    """
-    bottom, _ = ctx.split_kb
-    _candidate_atoms(ctx, bound)  # raises past the bound
-    return _LocalTable(bottom, sorted(ctx.original), bound)
 
 
 _Compiled = tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
@@ -467,7 +455,7 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
     when ``k`` is None), so outside import cycles a context comes after
     everything it imports; the walk and the search keep their own stacks.
     Each member has a table of local answer sets per bridge input (see
-    :func:`_local_table`), made per call and filled as the search reads it.
+    :class:`_LocalTable`), made per call and filled as the search reads it.
     Only bridge rules with original heads feed the table: :class:`System`
     rejects any that read auxiliary atoms, so their heads are the same before
     and after completion and a table lookup decides the original part exactly.
@@ -479,8 +467,9 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
     itself) draws its candidates from the table entry for its bridge input,
     and reads no other entry.  Any other member draws them from the union of
     its whole table, and is checked by a lookup at the first depth where it
-    and all its imports are assigned.  At a leaf one pass over the members'
-    auxiliary program (see :func:`_aux_program`) completes the auxiliary
+    and all its imports are assigned.  A leaf gathers the members' belief-state
+    components, ready-made in their table entries.  One pass over the members'
+    auxiliary program (see :func:`_aux_program`) then completes the auxiliary
     atoms, and the state is kept when that violates no auxiliary constraint;
     when no member carries auxiliary atoms there is nothing to complete.  A
     negative ``bound`` is a :class:`ParseError`.
@@ -502,7 +491,7 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
     order.pop()  # the virtual context
     members = [m.context(i) for i in order]
     position = {i: d for d, i in enumerate(order)}
-    tables = [_local_table(c, bound) for c in members]
+    tables = [_LocalTable(c, bound) for c in members]
 
     def compile_rule(d: int, b: BridgeRule) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         masks: dict[int, list[int]] = {}
@@ -518,7 +507,7 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
     ]
     # per depth: the union of the member's entries if it is checked by
     # lookup, else None, and the members checked at that depth
-    pools: list[dict[int, frozenset[Atom]] | None] = [None] * len(order)
+    pools: list[dict[int, tuple[int, frozenset[Atom]]] | None] = [None] * len(order)
     checks_at: list[list[int]] = [[] for _ in members]
     for d, c in enumerate(members):
         last = max((position[j] for j in c.imports), default=-1)
@@ -537,18 +526,18 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
     slots = [ids.index(i) for i in order]
     out: list[BeliefState] = []
     # entries past the current depth are stale, and no check reads them;
-    # row holds the members' sets at their places in a belief state
+    # row holds the members' components at their places in a belief state
     assignment = [0] * len(order)
-    row: list[frozenset[Atom] | None] = [None] * len(ids)
+    row: list[tuple[int, frozenset[Atom] | None]] = [(i, None) for i in ids]
     # per depth entered: the member's candidates not yet tried
-    untried: list[Iterator[tuple[int, frozenset[Atom]]]] = []
+    untried: list[Iterator[tuple[int, tuple[int, frozenset[Atom]]]]] = []
     depth = 0
     while depth >= 0:
         if depth == len(order):
             if strata is None:
-                out.append(BeliefState(tuple(zip(ids, row))))
+                out.append(BeliefState(tuple(row)))
             else:
-                completed, violated = _complete_aux(strata, {i: s for i, s in zip(ids, row) if s is not None})
+                completed, violated = _complete_aux(strata, {i: s for i, s in row if s is not None})
                 if not violated:
                     out.append(BeliefState(tuple((i, completed.get(i)) for i in ids)))
             depth -= 1
@@ -560,9 +549,9 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
             untried.append(iter(pool.items()))
         checks = checks_at[depth]
         at = slots[depth]
-        for mask, s in untried[depth]:
+        for mask, component in untried[depth]:
             assignment[depth] = mask
-            row[at] = s
+            row[at] = component
             if not checks or all(
                 assignment[p] in tables[p][_fired_mask(rules[p], assignment)] for p in checks
             ):

@@ -54,6 +54,16 @@ class Permutation:
             raise InternalError("permutation image leaves its domain")
         if m.keys() != images:  # else a moved atom's image is fixed or hit twice
             raise InternalError("permutation mapping is not injective")
+        self._set(dom, m)
+
+    @classmethod
+    def _trusted(cls, moved: dict[Atom, Atom], domain: frozenset[Atom]) -> "Permutation":
+        """The permutation of ``domain`` moving as ``moved``, a known bijection; nothing is checked."""
+        pi = object.__new__(cls)
+        pi._set(domain, moved)
+        return pi
+
+    def _set(self, dom: frozenset[Atom], m: dict[Atom, Atom]) -> None:
         object.__setattr__(self, "_domain", dom)
         object.__setattr__(self, "_map", m)
         object.__setattr__(self, "_support", frozenset(m))
@@ -165,7 +175,8 @@ def join_sets(pis: Iterable[Permutation], sigmas: Iterable[Permutation]) -> froz
 
     A hash join: for each pair of domains, the members of ``sigmas`` on the
     one are indexed by their images of the atoms it shares with the other,
-    and each member of ``pis`` on the other looks up its partners once.
+    and each member of ``pis`` on the other looks up its partners once.  A
+    matched pair's join is a permutation by construction, so it is not checked.
     """
     out: set[Permutation] = set()
     by_domain = _by_domain(sigmas)
@@ -177,7 +188,7 @@ def join_sets(pis: Iterable[Permutation], sigmas: Iterable[Permutation]) -> froz
                 index.setdefault(tuple(map(s._map.get, shared, shared)), []).append(s)
             for p in ps:
                 for s in index.get(tuple(map(p._map.get, shared, shared)), ()):
-                    out.add(Permutation({**p._map, **s._map}, domain=dom))
+                    out.add(Permutation._trusted({**p._map, **s._map}, dom))
     return frozenset(out)
 
 

@@ -27,6 +27,7 @@ from mcsym import (
     rule,
 )
 from mcsym.asp import evaluate_stratified, stratify
+from mcsym.mcs import BridgeRule, Context, _LocalTable
 
 a, b, c = Atom(1, "a"), Atom(1, "b"), Atom(1, "c")
 d, e, f, g = Atom(2, "d"), Atom(2, "e"), Atom(2, "f"), Atom(2, "g")
@@ -298,3 +299,36 @@ def normal_programs(draw):
 @given(normal_programs())
 def test_normal_programs_agree_with_naive_oracle(prog):
     assert answer_sets(prog) == naive_answer_sets(prog)
+
+
+@st.composite
+def bottoms(draw):
+    """An original kb over up to 6 atoms, with the heads of its bridge rules.
+
+    The kb may hold constraints, and is disjunctive when two-atom heads are
+    drawn; some negative bodies name a bridge head.
+    """
+    heads = draw(st.lists(st.sampled_from(ATOMS6), unique=True, max_size=3))
+    max_head = draw(st.sampled_from([1, 2]))
+    rules = []
+    for _ in range(draw(st.integers(0, 6))):
+        head = draw(st.sets(st.sampled_from(ATOMS6), max_size=max_head))  # empty is a constraint
+        pos = draw(st.sets(st.sampled_from(ATOMS6), max_size=2))
+        neg = draw(st.sets(st.sampled_from(ATOMS6), max_size=2))
+        if heads and draw(st.booleans()):
+            neg.add(draw(st.sampled_from(heads)))
+        rules.append(rule(head=head, pos=pos, neg=neg))
+    return tuple(rules), heads
+
+
+@settings(max_examples=200, deadline=None)
+@given(bottoms())
+def test_compiled_table_entries_agree_with_naive_oracle(case):
+    bottom, heads = case
+    q = Atom(2, "q")
+    ctx = Context(1, ATOMS6, bottom, tuple(BridgeRule(h, frozenset({q}), frozenset()) for h in heads))
+    table = _LocalTable(ctx, bound=len(ATOMS6))
+    bit = {x: 1 << i for i, x in enumerate(sorted(ATOMS6))}
+    for hs in chain.from_iterable(combinations(heads, r) for r in range(len(heads) + 1)):
+        expected = naive_answer_sets([*bottom, *(rule(head=[h]) for h in hs)])
+        assert table[sum(bit[h] for h in hs)] == {sum(bit[x] for x in s): (1, s) for s in expected}

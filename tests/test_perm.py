@@ -398,7 +398,11 @@ def nested_loop_join_sets(ps, qs):
 @settings(max_examples=300)
 @given(join_operands(), join_operands())
 def test_join_sets_matches_nested_loop(ps, qs):
-    assert join_sets(ps, qs) == nested_loop_join_sets(ps, qs)
+    joined = join_sets(ps, qs)
+    assert joined == nested_loop_join_sets(ps, qs)
+    for j in joined:  # built unchecked, so equal to and hashing like a checked one
+        checked = Permutation(dict(j._map), domain=j.domain)
+        assert j == checked and hash(j) == hash(checked)
 
 
 def test_join_sets_mixed_domains():
