@@ -356,18 +356,16 @@ def report_table(reports: Sequence[RunReport], format: str = "text") -> str:
         return buf.getvalue()
     if format != "text":
         raise ParseError(f"unknown report format {format!r}")
-    lines = []
-    inst_cols = ["instance", "mode", "before", "after", "compression", "group_size",
-                 "generator_count", "t_detect", "t_solve_before", "t_solve_after"]
-    widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c) for c in inst_cols}
-    lines.append("  ".join(c.ljust(widths[c]) for c in inst_cols))
-    for r in rows:
-        lines.append("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in inst_cols))
+    lines = _aligned(["instance", "mode", "before", "after", "compression", "group_size",
+                      "generator_count", "t_detect", "t_solve_before", "t_solve_after"], rows)
     if aggregates:
         lines.append("")
-        agg_cols = ["topology", "n", "mode", "count", "before", "after", "compression"]
-        awidths = {c: max(len(c), *(len(str(a.get(c, ""))) for a in aggregates)) for c in agg_cols}
-        lines.append("  ".join(c.ljust(awidths[c]) for c in agg_cols))
-        for a in aggregates:
-            lines.append("  ".join(str(a.get(c, "")).ljust(awidths[c]) for c in agg_cols))
+        lines += _aligned(["topology", "n", "mode", "count", "before", "after", "compression"], aggregates)
     return "\n".join(lines) + "\n"
+
+
+def _aligned(cols: list[str], rows: list[dict]) -> list[str]:
+    """A header line and one line per row, each column left-aligned to its widest cell."""
+    cells = [cols] + [[str(r.get(c, "")) for c in cols] for r in rows]
+    widths = [max(len(line[j]) for line in cells) for j in range(len(cols))]
+    return ["  ".join(x.ljust(w) for x, w in zip(line, widths)) for line in cells]

@@ -17,7 +17,7 @@ import traceback
 from . import bench as bench_mod
 from .detect import DetectionService, build_gap, dsd, exported_atoms
 from .errors import BoundExceeded, McsymError, ParseError
-from .mcs import enumerate_partial_equilibria, evaluate_distributed, load_system
+from .mcs import _emit_sections, emit_system, enumerate_partial_equilibria, evaluate_distributed, load_system
 from .perm import Permutation, emit_cycles, perm_sort_key
 from .sbc import default_order, extend_mcs
 from .autograph import emit_graph
@@ -88,26 +88,13 @@ def cmd_break(args: argparse.Namespace) -> int:
     order = default_order(m)
     breakers, _ = bench_mod.select_breakers(m, args.root, args.mode, args.budget)
     extended = extend_mcs(m, breakers, order)
-    from .asp import emit_rule
-    from .mcs import emit_bridge_rule, emit_system
-
     if args.emit_sbc:
-        lines = []
+        lines: list[str] = []
         for c_old, c_new in zip(m.contexts, extended.contexts):
-            new_aux = c_new.aux[len(c_old.aux):]
-            new_kb = c_new.kb[len(c_old.kb):]
-            new_br = c_new.br[len(c_old.br):]
-            if not (new_aux or new_kb or new_br):
-                continue
-            lines.append(f"context {c_old.id}")
-            if new_aux:
-                lines.append("  aux " + " ".join(a.name for a in new_aux))
-            lines.append("  kb")
-            for r in new_kb:
-                lines.append("    " + emit_rule(r))
-            lines.append("  br")
-            for b in new_br:
-                lines.append("    " + emit_bridge_rule(b))
+            added = (c_new.aux[len(c_old.aux):], c_new.kb[len(c_old.kb):], c_new.br[len(c_old.br):])
+            if any(added):
+                lines.append(f"context {c_old.id}")
+                _emit_sections(lines, *added)
         _write_out("\n".join(lines) + "\n", args.output)
     else:
         _write_out(emit_system(extended), args.output)

@@ -12,14 +12,14 @@ positive to its negative vertex.
 Distributed detection joins the local sets of the import closure.  The join
 of permutation sets is associative and commutative, and joining a context's
 set a second time changes nothing, so :func:`dsd` folds each reachable
-context's local set in once, in breadth-first order.  The service variant
-keeps the message protocol of separate reasoners: each request names the
-contexts already asked within the same outside request and is forwarded to
-every import neighbour not yet asked, so each reachable context is asked
-once; each node computes its local set once, and a reply that would exceed
-the message cap degrades to irredundant generators, which the receiver
-closes back to the group before joining.  Requests are handled in the
-caller, one after another, and the message log keeps the newest
+context's local set in once, as the solver's depth-first walk leaves it.  The
+service keeps the message protocol of separate reasoners on the same walk:
+each request names the contexts already asked within the same outside request
+and is forwarded to every import neighbour not yet asked, so each reachable
+context is asked once; each node computes its local set once, and a reply
+that would exceed the message cap degrades to irredundant generators, which
+the receiver closes back to the group before joining.  Requests are handled
+in the caller, one after another, and the message log keeps the newest
 :data:`LOG_LINES` lines, rendering replies in cycle notation only when read.
 """
 
@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator
 
 from .errors import InternalError, ParseError
 from .autograph import Graph, automorphism_generators
-from .mcs import Context, System
+from .mcs import Context, System, _walk
 from .perm import (
     Atom,
     Permutation,
@@ -163,26 +164,13 @@ def dsd(
 ) -> frozenset[Permutation]:
     """Distributed symmetry detection from context ``k``.
 
-    Joins the local sets of ``k`` and of every context it reaches along
-    import edges without entering ``visited``; started with no visited
-    contexts it returns all partial symmetries with respect to the import
-    closure of ``k``.
+    Joins, in depth-first post-order, the local sets of ``k`` (even when
+    ``visited`` holds it) and of every context it reaches along import edges
+    without entering ``visited``; started with no visited contexts it returns
+    all partial symmetries with respect to the import closure of ``k``.
     """
-    acc = lsd(m, k, mode=mode)
-    for i in _reachable(m, k, visited)[1:]:
-        acc = join_sets(acc, lsd(m, i, mode=mode))
-    return acc
-
-
-def _reachable(m: System, k: int, visited: frozenset[int]) -> list[int]:
-    """``k`` and the contexts it reaches outside ``visited``, breadth first."""
-    order = [k]
-    seen = set(visited) | {k}
-    for i in order:
-        nxt = sorted(m.context(i).imports - seen)
-        seen.update(nxt)
-        order.extend(nxt)
-    return order
+    left = (i for i, entered in _walk(m, k, set(visited)) if not entered)
+    return reduce(join_sets, (lsd(m, i, mode=mode) for i in left))
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +244,13 @@ class DetectionService:
     the same outside request, starting from its ``visited`` set.  The node
     forwards ``DSD i H`` to each neighbour ``i`` not yet in ``H`` and answers
     with a ``PERMSET``, so one outside request asks every context it reaches
-    exactly once.  Each node computes its local set once and reuses it
-    across requests.  A nontrivial reply larger than ``message_cap``
-    degrades to an irredundant generating subset, which the receiving node
-    closes back to the group before joining; a negative cap raises
-    :class:`ParseError`.  The message log yields the line-delimited wire
-    form of each exchange, the newest :data:`LOG_LINES` lines; it keeps the
-    replies themselves and renders them only when it is read.
+    exactly once, ``k`` even when ``visited`` holds it.  Each node computes
+    its local set once and serves later requests from it.  A nontrivial
+    reply larger than ``message_cap`` degrades to an irredundant generating
+    subset, which the receiving node closes back to the group before joining;
+    a negative cap raises :class:`ParseError`.  The message log yields the
+    line-delimited wire form of each exchange, the newest :data:`LOG_LINES`
+    lines; it keeps the replies themselves and renders them only when read.
     """
 
     def __init__(self, m: System, mode: str = "shared", message_cap: int = 4096) -> None:
@@ -272,41 +260,35 @@ class DetectionService:
         self.mode = mode
         self.message_cap = message_cap
         self.requests = {c.id: 0 for c in m.contexts}
-        self.cache_hits = {c.id: 0 for c in m.contexts}
         self.log = _MessageLog(LOG_LINES)
         self._local: dict[int, frozenset[Permutation]] = {}
 
+    @property
+    def cache_hits(self) -> dict[int, int]:
+        """Requests per node answered from its cached local set."""
+        return {k: max(n - 1, 0) for k, n in self.requests.items()}
+
     def request(self, k: int, visited: frozenset[int] = frozenset()) -> PermSet:
         """Send one detection request to node ``k`` and return its reply."""
-        return self._reply(k, set(visited))
-
-    def _reply(self, k: int, asked: set[int]) -> PermSet:
-        # neighbours are asked through here, so one outside request is one call
-        # of ``request``; a stack of open requests, not Python's, holds each
-        # one's set so far and the imports it has still to ask
-        opened: list[list] = []
-        i: int | None = k
-        while True:
-            if i is not None:
+        # a node is asked as the walk enters it and replies as the walk leaves
+        # it; a stack holds each open request's set so far
+        asked = set(visited)
+        opened: list[frozenset[Permutation]] = []
+        for i, entered in _walk(self.m, k, asked):
+            if entered:
                 self.log.append((f"DSD {i} H={','.join(map(str, sorted(asked))) or '-'}",))
-                asked.add(i)
                 self.requests[i] += 1
-                if i in self._local:
-                    self.cache_hits[i] += 1
-                else:
+                if i not in self._local:
                     self._local[i] = lsd(self.m, i, mode=self.mode)
-                opened.append([self._local[i], iter(sorted(self.m.context(i).imports))])
-            perms, todo = opened[-1]
-            i = next((j for j in todo if j not in asked), None)
-            if i is not None:
+                opened.append(self._local[i])
                 continue
+            perms = opened.pop()
             reply = PermSet(perms)
             # the identity alone has no generators to carry its domain
             if len(perms) > max(self.message_cap, 1):
                 reply = PermSet(frozenset(reduce_irredundant(perms)), complete=False)
             self.log.append(reply)
-            opened.pop()
-            if not opened:
-                return reply
-            got = reply.perms if reply.complete else group_closure(reply.perms)
-            opened[-1][0] = join_sets(opened[-1][0], got)
+            if opened:
+                got = reply.perms if reply.complete else group_closure(reply.perms)
+                opened[-1] = join_sets(opened[-1], got)
+        return reply

@@ -15,7 +15,8 @@ with an original head use no auxiliary atoms, so the original part of a
 belief state can be decided before any auxiliary atom is known.
 
 The distributed solver runs one backtracking search over the import closure,
-assigning contexts in depth-first post-order over import edges.  Per call it
+assigning contexts in depth-first post-order over import edges; the same walk
+gives the closure and :mod:`mcsym.detect`'s order.  Per call it
 numbers each member's original atoms as bits, so a belief set's original
 part is an int mask, and gives each member a table of its local answer sets
 per subset of its original bridge heads, filled on demand by one bit-mask
@@ -177,16 +178,11 @@ class System:
     def universe(self, within: Iterable[int] | None = None) -> frozenset[Atom]:
         """Alphabets (with aux) of the given contexts plus their bridge-body atoms.
 
-        With ``within=None``: all atoms declared anywhere in the system.
+        With ``within=None``: every context, which gives all atoms declared in
+        the system.
         """
-        if within is None:
-            out: frozenset[Atom] = frozenset()
-            for c in self.contexts:
-                out |= c.atoms
-            return out
-        out = frozenset()
-        for i in within:
-            c = self.context(i)
+        out: frozenset[Atom] = frozenset()
+        for c in self.contexts if within is None else map(self.context, within):
             out |= c.atoms
             for b in c.br:
                 out |= b.body_pos | b.body_neg
@@ -248,17 +244,31 @@ class BeliefState:
 # import topology
 
 
+def _walk(m: System, k: int, seen: set[int]) -> Iterator[tuple[int, bool]]:
+    """Depth-first walk over import edges from ``k``, imports in id order, on its own stack.
+
+    Yields ``(i, True)`` on entering context ``i`` and ``(i, False)`` on
+    leaving it.  It enters ``k``, and each import not in ``seen`` when reached,
+    which it adds to the caller's ``seen`` after the entered event.
+    """
+    yield k, True
+    seen.add(k)
+    path = [(k, iter(sorted(m.context(k).imports)))]
+    while path:
+        i, todo = path[-1]
+        j = next((j for j in todo if j not in seen), None)
+        if j is None:
+            path.pop()
+            yield i, False
+        else:
+            yield j, True
+            seen.add(j)
+            path.append((j, iter(sorted(m.context(j).imports))))
+
+
 def import_closure(m: System, k: int) -> frozenset[int]:
     """IC(k): least set containing k and closed under import neighbourhoods."""
-    closed: set[int] = set()
-    frontier = [k]
-    while frontier:
-        i = frontier.pop()
-        if i in closed:
-            continue
-        closed.add(i)
-        frontier.extend(m.context(i).imports - closed)
-    return frozenset(closed)
+    return frozenset(i for i, entered in _walk(m, k, set()) if entered)
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +460,10 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
     """Partial equilibria w.r.t. C_k, by one backtracking search over IC(k).
 
     Equivalent to :func:`enumerate_partial_equilibria`; ``k=None`` gives the
-    equilibria of the whole system.  The members are assigned in depth-first
-    post-order over import edges from ``k`` (from each context in id order
-    when ``k`` is None), so outside import cycles a context comes after
-    everything it imports; the walk and the search keep their own stacks.
+    equilibria of the whole system.  The members are assigned in the order
+    :func:`_walk` leaves them from ``k`` (from each context not yet reached,
+    in id order, when ``k`` is None), so outside import cycles a context comes
+    after everything it imports; the walk and the search keep their own stacks.
     Each member has a table of local answer sets per bridge input (see
     :class:`_LocalTable`), made per call and filled as the search reads it.
     Only bridge rules with original heads feed the table: :class:`System`
@@ -475,20 +485,11 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
     negative ``bound`` is a :class:`ParseError`.
     """
     _check_bound(bound)
-    # per open context, the imports still to visit; a virtual None imports the roots
-    order: list = []
+    order: list[int] = []
     seen: set[int] = set()
-    path = [(None, iter(m.ids if k is None else (k,)))]
-    while path:
-        i, todo = path[-1]
-        j = next((j for j in todo if j not in seen), None)
-        if j is None:
-            path.pop()
-            order.append(i)
-        else:
-            seen.add(j)
-            path.append((j, iter(sorted(m.context(j).imports))))
-    order.pop()  # the virtual context
+    for root in m.ids if k is None else (k,):
+        if root not in seen:
+            order.extend(i for i, entered in _walk(m, root, seen) if not entered)
     members = [m.context(i) for i in order]
     position = {i: d for d, i in enumerate(order)}
     tables = [_LocalTable(c, bound) for c in members]
@@ -751,19 +752,26 @@ def emit_bridge_rule(b: BridgeRule) -> str:
     return f"{b.head.name} :- " + ", ".join(body) + "."
 
 
+def _emit_sections(
+    out: list[str], aux: tuple[Atom, ...], kb: tuple[Rule, ...], br: tuple[BridgeRule, ...]
+) -> None:
+    """Append a context's ``aux`` line, if it has aux atoms, and its ``kb`` and ``br`` sections."""
+    if aux:
+        out.append("  aux " + " ".join(a.name for a in aux))
+    out.append("  kb")
+    for r in kb:
+        out.append("    " + asp.emit_rule(r))
+    out.append("  br")
+    for b in br:
+        out.append("    " + emit_bridge_rule(b))
+
+
 def emit_system(m: System) -> str:
     out = [f"mcs {len(m.contexts)}"]
     for c in m.contexts:
         out.append(f"context {c.id}")
         out.append("  atoms " + " ".join(a.name for a in c.alphabet))
-        if c.aux:
-            out.append("  aux " + " ".join(a.name for a in c.aux))
-        out.append("  kb")
-        for r in c.kb:
-            out.append("    " + asp.emit_rule(r))
-        out.append("  br")
-        for b in c.br:
-            out.append("    " + emit_bridge_rule(b))
+        _emit_sections(out, c.aux, c.kb, c.br)
     return "\n".join(out) + "\n"
 
 

@@ -1,4 +1,4 @@
-"""Shared test helpers: cycle views, atom lookup, seeded random systems, reference refinement and completion."""
+"""Shared test helpers: cycle views, atom lookup, seeded random systems, reference refinement, completion and member order."""
 
 from __future__ import annotations
 
@@ -96,6 +96,30 @@ def _fired(rules: Sequence[BridgeRule], assignment: Mapping[int, frozenset[Atom]
         if all(a in assignment[a.context_id] for a in b.body_pos)
         and not any(a in assignment[a.context_id] for a in b.body_neg)
     )
+
+
+def post_order(m: System, k: int | None) -> list[int]:
+    """Reference member order of the solver: depth-first post-order over import edges.
+
+    Imports are taken in ascending id order.  The walk starts at ``k``, or,
+    with ``k=None``, at every context in id order that an earlier start has
+    not reached: a virtual context that imports the starts is left last and
+    dropped.
+    """
+    order: list = []
+    seen: set[int] = set()
+    path = [(None, iter(m.ids if k is None else (k,)))]
+    while path:
+        i, todo = path[-1]
+        j = next((j for j in todo if j not in seen), None)
+        if j is None:
+            path.pop()
+            order.append(i)
+        else:
+            seen.add(j)
+            path.append((j, iter(sorted(m.context(j).imports))))
+    order.pop()  # the virtual context
+    return order
 
 
 def chain_system(n: int) -> System:

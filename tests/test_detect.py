@@ -148,6 +148,22 @@ class TestDsd:
             for s in (0, 1, 2):
                 assert ref(root, frozenset(), random.Random(s)) == expected
 
+    def test_visited_root_is_still_joined(self):
+        # the root's local set is joined even when ``visited`` names the root
+        rng = random.Random(4242)
+
+        def ref(k, h):
+            acc = lsd(m, k)
+            for i in sorted(m.context(k).imports - h - {k}):
+                acc = join_sets(acc, ref(i, h | {k}))
+            return acc
+
+        for _ in range(30):
+            m = random_system(rng, max_contexts=4, max_atoms=3, self_reads=True)
+            for k in m.ids:
+                visited = frozenset(i for i in m.ids if rng.random() < 0.4) | {k}
+                assert dsd(m, k, visited) == ref(k, visited)
+
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(41)
         for _ in range(15):
@@ -243,6 +259,34 @@ class TestService:
                 perms = got.perms if got.complete else group_closure(got.perms)
                 assert perms == want, (k, message_cap)
                 assert sum(svc.requests.values()) == len(import_closure(m, k)), (k, message_cap)
+
+    def test_visited_root_is_still_asked(self, example1):
+        # the root is asked even when ``visited`` names it, and H says so
+        four = sorted(FOUR)
+        cases = {
+            (1, (1,)): ["DSD 1 H=1", "DSD 2 H=1", "PERMSET 4", *four, "PERMSET 4", *four],
+            (2, (1, 2)): ["DSD 2 H=1,2", "PERMSET 4", *four],
+            (3, (2, 3)): ["DSD 3 H=2,3", "DSD 1 H=2,3", "PERMSET 2", "()", "(1.a 1.b)(2.d 2.e)",
+                          "PERMSET 1", "()"],
+            (3, (3,)): ["DSD 3 H=3", "DSD 1 H=3", "DSD 2 H=1,3", "PERMSET 4", *four,
+                        "PERMSET 4", *four, "PERMSET 2", "()", "(2.f 2.g)"],
+        }
+        for (k, visited), log in cases.items():
+            svc = DetectionService(example1)
+            got = svc.request(k, frozenset(visited))
+            assert got.complete and list(svc.log) == log
+            assert got.perms == dsd(example1, k, frozenset(visited))
+            assert svc.requests[k] == 1
+
+    def test_uncapped_reply_is_dsd_from_any_visited_set(self):
+        rng = random.Random(2026)
+        for _ in range(40):
+            m = random_system(rng, max_contexts=5, max_atoms=3, self_reads=True)
+            svc = DetectionService(m, message_cap=10**9)
+            for k in m.ids:
+                visited = frozenset(i for i in m.ids if rng.random() < 0.3)
+                got = svc.request(k, visited)
+                assert got.complete and got.perms == dsd(m, k, visited), (k, visited)
 
     def test_concurrent_roots_agree_with_dsd(self, example1):
         svc = DetectionService(example1)

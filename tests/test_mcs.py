@@ -47,6 +47,7 @@ from helpers import (
     atoms_of,
     chain_system,
     cyc,
+    post_order,
     random_system,
     round_based_completion,
     state_of,
@@ -282,6 +283,24 @@ class TestEquilibria:
                 for s in evaluate_distributed(m, k):
                     assert is_partial_equilibrium(m, s, k)
         assert derived > 500 and violated > 200
+
+    def test_members_are_assigned_in_depth_first_post_order(self, monkeypatch):
+        built = []
+
+        class Recorded(mcsym.mcs._LocalTable):
+            def __init__(self, ctx, bound):
+                built.append(ctx.id)
+                super().__init__(ctx, bound)
+
+        monkeypatch.setattr(mcsym.mcs, "_LocalTable", Recorded)
+        rng = random.Random(20261021)
+        for _ in range(80):
+            m = random_system(rng, max_contexts=6, max_atoms=2, self_reads=True,
+                              edge_probability=rng.choice((0.15, 0.3, 0.5)))
+            for k in (*m.ids, None):
+                built.clear()
+                evaluate_distributed(m, k)
+                assert built == post_order(m, k), k
 
     def test_long_import_chain_needs_no_recursion(self):
         # the search and its post-order keep their own stacks
