@@ -13,10 +13,14 @@ Topologies (an edge ``u -> v`` means context ``u`` imports from context ``v``):
 
 Knowledge bases are drawn per context from a counter-based generator (Philox)
 seeded by spawning one child sequence per context off the instance seed, so
-instances are reproducible byte for byte.  Most contexts carry an
-interchangeable atom pair (an even/odd choice gadget kept away from the
-export interface), which is what gives the symmetry-breaking rewrite
-something to compress.
+instances are reproducible byte for byte.  The draws are numpy's, made by
+:mod:`mcsym._rng`, an exact pure-Python port of its ``SeedSequence.spawn``,
+its Philox 4x64-10 bit generator, and ``Generator.random``,
+``Generator.integers`` (Lemire's bounded method on buffered 32-bit draws)
+and ``Generator.choice`` without replacement (Floyd's algorithm, then a
+Fisher-Yates shuffle of the picks).  Most contexts carry an interchangeable
+atom pair (an even/odd choice gadget kept away from the export interface),
+which is what gives the symmetry-breaking rewrite something to compress.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from . import _rng
 from .asp import Rule
 from .errors import ParseError
 from .detect import dsd, lsd
@@ -106,11 +109,7 @@ def topology_edges(spec: TopologySpec) -> frozenset[tuple[int, int]]:
 
 def generate(spec: TopologySpec) -> System:
     """A reproducible random system on the requested topology."""
-    root_ss = np.random.SeedSequence(spec.seed)
-    rngs = {
-        i + 1: np.random.Generator(np.random.Philox(child))
-        for i, child in enumerate(root_ss.spawn(spec.n))
-    }
+    rngs = dict(enumerate(_rng.spawn(spec.seed, spec.n), start=1))
     edges = topology_edges(spec)
     out_edges = {i: sorted(v for u, v in edges if u == i) for i in range(1, spec.n + 1)}
 
@@ -125,38 +124,35 @@ def generate(spec: TopologySpec) -> System:
         rng = rngs[i]
         atoms = tuple(Atom(i, f"a{i}_{j}") for j in range(1, k + 1))
         alphabet[i] = atoms
-        has_pair = bool(rng.random() < spec.pair_probability)
-        if has_pair:
+        if rng.random() < spec.pair_probability:
             pair[i] = (atoms[-2], atoms[-1])
             plain[i] = list(atoms[:-2])
         else:
             pair[i] = None
             plain[i] = list(atoms)
-        n_exp = int(rng.integers(1, min(spec.max_exports, len(plain[i])) + 1))
+        n_exp = rng.integers(1, min(spec.max_exports, len(plain[i])) + 1)
         exports[i] = plain[i][:n_exp]
         kb: list[Rule] = []
         if pair[i] is not None:
             p, q = pair[i]
             kb.append(Rule(frozenset({p}), frozenset(), frozenset({q})))
             kb.append(Rule(frozenset({q}), frozenset(), frozenset({p})))
-        n_rules = int(rng.integers(1, spec.max_kb_rules + 1))
+        n_rules = rng.integers(1, spec.max_kb_rules + 1)
         for _ in range(n_rules):
-            head_atom = plain[i][int(rng.integers(0, len(plain[i])))]
+            head_atom = plain[i][rng.integers(0, len(plain[i]))]
             heads = {head_atom}
             if len(plain[i]) >= 2 and rng.random() < 0.2:
-                other = plain[i][int(rng.integers(0, len(plain[i])))]
+                other = plain[i][rng.integers(0, len(plain[i]))]
                 heads.add(other)
             body_pool = [a for a in plain[i] if a not in heads]
-            size = int(rng.integers(0, min(spec.max_body, len(body_pool)) + 1))
+            size = rng.integers(0, min(spec.max_body, len(body_pool)) + 1)
             body_pos: set[Atom] = set()
             body_neg: set[Atom] = set()
-            if size:
-                picks = rng.choice(len(body_pool), size=size, replace=False)
-                for idx in sorted(int(x) for x in picks):
-                    if rng.random() < 0.4:
-                        body_neg.add(body_pool[idx])
-                    else:
-                        body_pos.add(body_pool[idx])
+            for idx in sorted(rng.choice(len(body_pool), size)):
+                if rng.random() < 0.4:
+                    body_neg.add(body_pool[idx])
+                else:
+                    body_pos.add(body_pool[idx])
             kb.append(Rule(frozenset(heads), frozenset(body_pos), frozenset(body_neg)))
         kbs[i] = kb
 
@@ -167,26 +163,25 @@ def generate(spec: TopologySpec) -> System:
         for v in out_edges[i]:
             brs.append(_random_bridge(rng, spec, plain[i], exports[v]))
         if out_edges[i]:
-            extra = int(rng.integers(0, max(0, spec.max_bridge_rules - len(out_edges[i])) + 1))
+            extra = rng.integers(0, max(0, spec.max_bridge_rules - len(out_edges[i])) + 1)
             for _ in range(extra):
-                v = out_edges[i][int(rng.integers(0, len(out_edges[i])))]
+                v = out_edges[i][rng.integers(0, len(out_edges[i]))]
                 brs.append(_random_bridge(rng, spec, plain[i], exports[v]))
         contexts.append(Context(i, alphabet[i], tuple(kbs[i]), tuple(brs)))
     return System(tuple(contexts))
 
 
 def _random_bridge(
-    rng: np.random.Generator,
+    rng: _rng.Philox,
     spec: TopologySpec,
     own_plain: Sequence[Atom],
     neighbour_exports: Sequence[Atom],
 ) -> BridgeRule:
-    head = own_plain[int(rng.integers(0, len(own_plain)))]
-    size = int(rng.integers(1, min(spec.max_body, len(neighbour_exports)) + 1))
-    picks = rng.choice(len(neighbour_exports), size=size, replace=False)
+    head = own_plain[rng.integers(0, len(own_plain))]
+    size = rng.integers(1, min(spec.max_body, len(neighbour_exports)) + 1)
     pos: set[Atom] = set()
     neg: set[Atom] = set()
-    for idx in sorted(int(x) for x in picks):
+    for idx in sorted(rng.choice(len(neighbour_exports), size)):
         if rng.random() < 0.4:
             neg.add(neighbour_exports[idx])
         else:

@@ -532,9 +532,10 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
     row: list[tuple[int, frozenset[Atom] | None]] = [(i, None) for i in ids]
     # per depth entered: the member's candidates not yet tried
     untried: list[Iterator[tuple[int, tuple[int, frozenset[Atom]]]]] = []
+    leaf = len(order)
     depth = 0
     while depth >= 0:
-        if depth == len(order):
+        if depth == leaf:
             if strata is None:
                 out.append(BeliefState(tuple(row)))
             else:

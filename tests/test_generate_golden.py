@@ -4,7 +4,8 @@
 grid below: the spec's fields in declaration order, then the sha256 of
 ``emit_system(generate(spec))``.  ``data/generated/`` holds the whole text of
 a few small instances.  Both were written while :func:`generate` drew from
-numpy's SeedSequence and Philox generator, by
+numpy's SeedSequence and Philox generator, which ``mcsym._rng`` now ports,
+by
 
     PYTHONPATH=src python3 tests/test_generate_golden.py
 """
