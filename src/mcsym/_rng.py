@@ -39,11 +39,7 @@ ROUNDS = 10
 
 def _words(x: int) -> list[int]:
     """``x`` as 32-bit words, least significant first; ``[0]`` for 0."""
-    out = [x & M32]
-    while x > M32:
-        x >>= 32
-        out.append(x & M32)
-    return out
+    return [x >> s & M32 for s in range(0, max(x.bit_length(), 1), 32)]
 
 
 def _hasher(h: int, mult: int) -> Callable[[int], int]:
@@ -60,14 +56,17 @@ def _hasher(h: int, mult: int) -> Callable[[int], int]:
 
 
 def _key(entropy: list[int]) -> tuple[int, int]:
-    """SeedSequence's pool for ``entropy``, then its first two 64-bit state words."""
+    """The first two 64-bit state words of SeedSequence's pool for ``entropy``.
+
+    A spawned child's ``entropy`` has at least ``POOL_SIZE`` words.
+    """
     hashmix = _hasher(INIT_A, MULT_A)
 
     def mix(x: int, y: int) -> int:
         r = MIX_MULT_L * x - MIX_MULT_R * y & M32
         return r ^ r >> 16
 
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(POOL_SIZE)]
+    pool = [hashmix(word) for word in entropy[:POOL_SIZE]]
     for src in range(POOL_SIZE):
         for dst in range(POOL_SIZE):
             if src != dst:
@@ -136,6 +135,7 @@ class Philox:
         return m >> 32
 
     def random(self) -> float:
+        """Uniform on ``[0, 1)``, from the top 53 bits of one 64-bit word."""
         return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
 
     def integers(self, lo: int, hi: int) -> int:
