@@ -8,6 +8,16 @@ over a program that :func:`compile_program` turned into int bit masks once,
 with facts as a mask: a normal program guesses just the head atoms that also
 occur in a negative body, completing each guess by a least model; a
 disjunctive one guesses sets of head atoms and checks each by minimality.
+
+A system holds tens of thousands of rule fields, most of them empty or of one
+atom, so the builders share them: every empty field is :data:`EMPTY`, and the
+one-atom sets come from a :class:`Singletons` table made per build call
+(:func:`parse_program`, :func:`mcsym.mcs.parse_system`,
+:func:`mcsym.bench.generate` and :func:`mcsym.sbc.extend_mcs` each make one),
+so a table lives exactly as long as what it built.  Sets of two or more atoms
+are built per rule.  Sharing shows only through object identity; equality,
+hashing and emitted text are those of the sets' contents.  Rule objects are
+slotted, without a ``__dict__``.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BoundExceeded, InternalError, ParseError
 from .perm import Atom, Permutation
@@ -24,9 +34,37 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _REF_RE = re.compile(r"\(\s*(\d+)\s*:\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)")
 
 
-@dataclass(frozen=True)
+# the one empty field of every rule a builder makes
+EMPTY: frozenset[Atom] = frozenset()
+
+
+class Singletons(dict):
+    """One build's table from an atom to its one-atom set, made when first read.
+
+    Builders index it inline, ``EMPTY if not s else table[s.pop()] if len(s) == 1
+    else frozenset(s)``, so a hit costs one dict lookup and no Python call.
+    A builder that knows its atoms up front fills them in with :meth:`fill`,
+    which makes no Python call per atom.
+    """
+
+    def fill(self, atoms: Collection[Atom]) -> "Singletons":
+        """Put the one-atom set of each of ``atoms`` in the table; returns the table."""
+        self.update(zip(atoms, map(frozenset, zip(atoms))))
+        return self
+
+    def __missing__(self, a: Atom) -> frozenset[Atom]:
+        s = self[a] = frozenset((a,))
+        return s
+
+
+@dataclass(frozen=True, slots=True)
 class Rule:
-    """A disjunctive rule; ``head`` empty means an integrity constraint."""
+    """A disjunctive rule; ``head`` empty means an integrity constraint.
+
+    Slotted, so a rule is three references and no ``__dict__``; rules from
+    one builder call share their empty and one-atom fields (see the module
+    docstring).
+    """
 
     head: frozenset[Atom]
     body_pos: frozenset[Atom]
@@ -110,13 +148,21 @@ def _parse_atom_token(tok: str, names: Mapping[str | tuple[int, str], Atom], lin
     return atom
 
 
-def parse_rule(stmt: str, names: Mapping[str | tuple[int, str], Atom], lineno: int = 0) -> Rule:
+def parse_rule(
+    stmt: str,
+    names: Mapping[str | tuple[int, str], Atom],
+    lineno: int = 0,
+    sets: Singletons | None = None,
+) -> Rule:
     """Parse one statement, without its ``.``, into a rule.
 
     An atom is written as a plain name, which ``names`` resolves by the name,
     or as ``(c:name)``, which it resolves by ``(c, name)``; a token ``names``
-    does not resolve is an error.  Errors name ``lineno``.
+    does not resolve is an error.  Errors name ``lineno``.  One-atom fields
+    come from ``sets``, the caller's table, or else from a fresh one.
     """
+    if sets is None:
+        sets = Singletons()
     if ":-" in stmt:
         head_txt, body_txt = stmt.split(":-", 1)
         if ":-" in body_txt:
@@ -140,13 +186,19 @@ def parse_rule(stmt: str, names: Mapping[str | tuple[int, str], Atom], lineno: i
             neg.add(_parse_atom_token(part[4:], names, lineno))
         else:
             pos.add(_parse_atom_token(part, names, lineno))
-    return Rule(frozenset(head), frozenset(pos), frozenset(neg))
+    return Rule(
+        EMPTY if not head else sets[head.pop()] if len(head) == 1 else frozenset(head),
+        EMPTY if not pos else sets[pos.pop()] if len(pos) == 1 else frozenset(pos),
+        EMPTY if not neg else sets[neg.pop()] if len(neg) == 1 else frozenset(neg),
+    )
 
 
 def parse_program(text: str, alphabet: Iterable[Atom]) -> tuple[Rule, ...]:
     """Parse a logic program over a fixed alphabet of atoms."""
     names = {a.name: a for a in alphabet}
-    return tuple(parse_rule(stmt, names, lineno) for stmt, lineno in _split_statements(_code_lines(text)))
+    sets = Singletons()
+    statements = _split_statements(_code_lines(text))
+    return tuple(parse_rule(stmt, names, lineno, sets) for stmt, lineno in statements)
 
 
 def emit_rule(r: Rule) -> str:
@@ -173,7 +225,7 @@ def reduct(program: Iterable[Rule], x: frozenset[Atom]) -> tuple[Rule, ...]:
     for r in program:
         if r.body_neg & x:
             continue
-        out.append(Rule(r.head, r.body_pos, frozenset()))
+        out.append(Rule(r.head, r.body_pos, EMPTY))
     return tuple(out)
 
 

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Sequence
 
 from . import _rng
-from .asp import Rule
+from .asp import EMPTY, Rule, Singletons
 from .errors import ParseError
 from .detect import dsd, lsd
 from .mcs import (
@@ -121,9 +121,12 @@ def generate(spec: TopologySpec) -> System:
 
     k = spec.atoms_per_context
     for i in range(1, spec.n + 1):
+        alphabet[i] = tuple(Atom(i, f"a{i}_{j}") for j in range(1, k + 1))
+    # one-atom rule fields, shared across the system
+    sets = Singletons().fill([a for atoms in alphabet.values() for a in atoms])
+    for i in range(1, spec.n + 1):
         rng = rngs[i]
-        atoms = tuple(Atom(i, f"a{i}_{j}") for j in range(1, k + 1))
-        alphabet[i] = atoms
+        atoms = alphabet[i]
         if rng.random() < spec.pair_probability:
             pair[i] = (atoms[-2], atoms[-1])
             plain[i] = list(atoms[:-2])
@@ -135,8 +138,8 @@ def generate(spec: TopologySpec) -> System:
         kb: list[Rule] = []
         if pair[i] is not None:
             p, q = pair[i]
-            kb.append(Rule(frozenset({p}), frozenset(), frozenset({q})))
-            kb.append(Rule(frozenset({q}), frozenset(), frozenset({p})))
+            kb.append(Rule(sets[p], EMPTY, sets[q]))
+            kb.append(Rule(sets[q], EMPTY, sets[p]))
         n_rules = rng.integers(1, spec.max_kb_rules + 1)
         for _ in range(n_rules):
             head_atom = plain[i][rng.integers(0, len(plain[i]))]
@@ -146,14 +149,20 @@ def generate(spec: TopologySpec) -> System:
                 heads.add(other)
             body_pool = [a for a in plain[i] if a not in heads]
             size = rng.integers(0, min(spec.max_body, len(body_pool)) + 1)
-            body_pos: set[Atom] = set()
-            body_neg: set[Atom] = set()
+            pos: set[Atom] = set()
+            neg: set[Atom] = set()
             for idx in sorted(rng.choice(len(body_pool), size)):
                 if rng.random() < 0.4:
-                    body_neg.add(body_pool[idx])
+                    neg.add(body_pool[idx])
                 else:
-                    body_pos.add(body_pool[idx])
-            kb.append(Rule(frozenset(heads), frozenset(body_pos), frozenset(body_neg)))
+                    pos.add(body_pool[idx])
+            kb.append(
+                Rule(
+                    sets[heads.pop()] if len(heads) == 1 else frozenset(heads),
+                    EMPTY if not pos else sets[pos.pop()] if len(pos) == 1 else frozenset(pos),
+                    EMPTY if not neg else sets[neg.pop()] if len(neg) == 1 else frozenset(neg),
+                )
+            )
         kbs[i] = kb
 
     contexts = []
@@ -161,12 +170,12 @@ def generate(spec: TopologySpec) -> System:
         rng = rngs[i]
         brs: list[BridgeRule] = []
         for v in out_edges[i]:
-            brs.append(_random_bridge(rng, spec, plain[i], exports[v]))
+            brs.append(_random_bridge(rng, spec, plain[i], exports[v], sets))
         if out_edges[i]:
             extra = rng.integers(0, max(0, spec.max_bridge_rules - len(out_edges[i])) + 1)
             for _ in range(extra):
                 v = out_edges[i][rng.integers(0, len(out_edges[i]))]
-                brs.append(_random_bridge(rng, spec, plain[i], exports[v]))
+                brs.append(_random_bridge(rng, spec, plain[i], exports[v], sets))
         contexts.append(Context(i, alphabet[i], tuple(kbs[i]), tuple(brs)))
     return System(tuple(contexts))
 
@@ -176,6 +185,7 @@ def _random_bridge(
     spec: TopologySpec,
     own_plain: Sequence[Atom],
     neighbour_exports: Sequence[Atom],
+    sets: Singletons,
 ) -> BridgeRule:
     head = own_plain[rng.integers(0, len(own_plain))]
     size = rng.integers(1, min(spec.max_body, len(neighbour_exports)) + 1)
@@ -186,7 +196,11 @@ def _random_bridge(
             neg.add(neighbour_exports[idx])
         else:
             pos.add(neighbour_exports[idx])
-    return BridgeRule(head, frozenset(pos), frozenset(neg))
+    return BridgeRule(
+        head,
+        EMPTY if not pos else sets[pos.pop()] if len(pos) == 1 else frozenset(pos),
+        EMPTY if not neg else sets[neg.pop()] if len(neg) == 1 else frozenset(neg),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from .asp import Rule, evaluate_stratified, is_answer_set
 from .errors import BoundExceeded, InsufficientBeliefState, InternalError, ParseError
 from .perm import Atom, Permutation
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BridgeRule:
     """``head :- (c:b), not (c:d).`` — body literals query other contexts."""
 
@@ -147,19 +147,20 @@ class System:
                 if a.context_id != c.id:
                     raise InternalError(f"context {c.id} declares an atom of context {a.context_id}")
             for r in c.kb:
-                if not r.atoms() <= atoms:
+                if not (r.head <= atoms and r.body_pos <= atoms and r.body_neg <= atoms):
                     raise ParseError(f"context {c.id}: kb rule uses undeclared atoms")
             for b in c.br:
                 if b.head not in atoms:
                     raise ParseError(f"context {c.id}: bridge head {b.head.name!r} is not local")
-                for a in b.body_pos | b.body_neg:
+                body = b.body_pos | b.body_neg
+                for a in body:
                     if a not in declared.get(a.context_id, ()):
                         raise ParseError(
                             f"context {c.id}: bridge literal ({a.context_id}:{a.name}) "
                             "does not name a declared atom"
                         )
                 # the solver prunes on the original part before completing aux
-                if b.head not in aux and not (b.body_pos | b.body_neg).isdisjoint(aux):
+                if b.head not in aux and not body.isdisjoint(aux):
                     raise ParseError(
                         f"context {c.id}: bridge rule for original atom {b.head.name!r} "
                         "reads an auxiliary atom"
@@ -193,7 +194,7 @@ class System:
 # belief states
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeliefState:
     """One belief set (or ``eps``) per context, keyed by context id."""
 
@@ -728,10 +729,11 @@ def parse_system(text: str) -> System:
         raise ParseError(f"header declares {n} contexts, found {len(sections)}")
 
     refs = {(a.context_id, a.name): a for _, alphabet, aux, _, _ in sections for a in alphabet + aux}
+    sets = asp.Singletons().fill(refs.values())  # one-atom rule fields, shared across the system
     contexts: list[Context] = []
     for cid, alphabet, aux, kb_lines, br_lines in sections:
         local = {a.name: a for a in alphabet + aux}
-        kb = tuple(asp.parse_rule(stmt, local, ln) for stmt, ln in asp._split_statements(kb_lines))
+        kb = tuple(asp.parse_rule(stmt, local, ln, sets) for stmt, ln in asp._split_statements(kb_lines))
         br = []
         for stmt, ln in asp._split_statements(br_lines):
             head_txt, arrow, body_txt = stmt.partition(":-")
@@ -740,7 +742,7 @@ def parse_system(text: str) -> System:
             head = local.get(head_txt.strip())
             if head is None:
                 raise ParseError(f"bridge head {head_txt.strip()!r} not in the alphabet", line=ln)
-            body = asp.parse_rule(arrow + body_txt, refs, ln)
+            body = asp.parse_rule(arrow + body_txt, refs, ln, sets)
             br.append(BridgeRule(head, body.body_pos, body.body_neg))
         contexts.append(Context(cid, tuple(alphabet), kb, tuple(br), tuple(aux)))
     return System(tuple(contexts))

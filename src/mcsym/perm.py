@@ -42,7 +42,8 @@ class Atom(NamedTuple):
 class Permutation:
     """An immutable bijection of a finite set of atoms onto itself."""
 
-    __slots__ = ("_domain", "_map", "_support", "_hash")
+    # _key, the sort key, is set by perm_sort_key when first asked for
+    __slots__ = ("_domain", "_map", "_support", "_hash", "_key")
 
     def __init__(self, mapping: Mapping[Atom, Atom], domain: Iterable[Atom] | None = None):
         dom = frozenset(mapping) if domain is None else frozenset(domain)
@@ -253,8 +254,16 @@ def group_closure(gens: Iterable[Permutation], cap: int = 10**6) -> frozenset[Pe
 
 
 def perm_sort_key(p: Permutation) -> tuple[int, str]:
-    """The canonical order of permutations: support size, then cycle notation."""
-    return (len(p.support), emit_cycles(p))
+    """The canonical order of permutations: support size, then cycle notation.
+
+    Rendered once per permutation and kept on it, for the sorts it meets later.
+    """
+    try:
+        return p._key
+    except AttributeError:
+        key = (len(p.support), emit_cycles(p))
+        object.__setattr__(p, "_key", key)
+        return key
 
 
 def reduce_irredundant(gens: Iterable[Permutation], cap: int = 10**6) -> list[Permutation]:

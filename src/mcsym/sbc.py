@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable
 
-from .asp import Rule
+from .asp import EMPTY, Rule, Singletons
 from .errors import InternalError
 from .mcs import BeliefState, BridgeRule, Context, System
 from .perm import Atom, Permutation, orbit_of_states, perm_sort_key, reduce_irredundant
@@ -171,46 +171,60 @@ class ContextAdditions:
     aux: list[Atom] = field(default_factory=list)
     kb: list[Rule] = field(default_factory=list)
     br: list[BridgeRule] = field(default_factory=list)
+    # the members of ``aux`` and ``br``, so a repeat is found without a scan
+    _aux: dict[Atom, Atom] = field(init=False, repr=False, compare=False)
+    _br: set[BridgeRule] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._aux, self._br = {a: a for a in self.aux}, set(self.br)
 
     def declare(self, a: Atom) -> Atom:
-        if a not in self.aux:
+        """Add ``a`` to ``aux`` unless it is there; returns the member equal to ``a``."""
+        got = self._aux.setdefault(a, a)
+        if got is a:
             self.aux.append(a)
-        return a
+        return got
+
+    def bridge(self, b: BridgeRule) -> None:
+        """Add ``b`` to ``br`` unless it is there."""
+        if b not in self._br:
+            self._br.add(b)
+            self.br.append(b)
 
 
 def encode_asp(
-    m: System, pi: Permutation, order: AtomOrder, tag: str
+    m: System, pi: Permutation, order: AtomOrder, tag: str, sets: Singletons | None = None
 ) -> dict[int, ContextAdditions]:
     """The distributed ASP encoding of ``pi``'s permutation constraint.
 
     Auxiliary atoms are namespaced by ``tag``: chain atoms ``sbc_<tag>_c<i>``,
     primed imports ``sbc_<tag>_p_<atom>`` and ``sbc_<tag>_pc<i>`` for an
-    imported chain link.
+    imported chain link.  One-atom rule fields come from ``sets``, the
+    caller's table, or else from a fresh one.
     """
+    if sets is None:
+        sets = Singletons()
     pc = build_pc(pi, order)
     q = len(pc.positions)
     out: dict[int, ContextAdditions] = {}
-
-    def chain_atom(owner: int, i: int) -> Atom:
-        # c_i belongs to the owner of sequence atom i-1 (1-based)
-        return Atom(owner, f"sbc_{tag}_c{i}")
+    # chain[i] is c_i, for i from 2 to q + 1; it belongs to the owner of
+    # sequence atom i-1 (1-based)
+    chain = [None, None] + [Atom(p.atom.context_id, f"sbc_{tag}_c{p.index + 1}") for p in pc.positions]
 
     for piece in distribute_pc(pc):
         k = piece.context_id
         # the chain atoms this context owns come before its primed copies
         here = out[k] = ContextAdditions(
-            aux=[chain_atom(k, p.index) for p in piece.rule_positions]
-            + ([chain_atom(k, q + 1)] if piece.terminator else [])
+            aux=[chain[p.index] for p in piece.rule_positions] + ([chain[q + 1]] if piece.terminator else [])
         )
         if piece.first:
             s1, t1 = pc.positions[0].atom, pc.positions[0].image
-            here.kb.append(Rule(frozenset(), frozenset({s1}), frozenset({t1})))
-            here.kb.append(Rule(frozenset(), frozenset({chain_atom(k, 2)}), frozenset()))
+            here.kb.append(Rule(EMPTY, sets[s1], sets[t1]))
+            here.kb.append(Rule(EMPTY, sets[chain[2]], EMPTY))
         for p in piece.rule_positions:
             i = p.index
             prev = pc.positions[i - 2]
-            head = chain_atom(k, i)
-            nxt = chain_atom(p.atom.context_id, i + 1)
+            head, nxt = chain[i], chain[i + 1]
             if p.atom.context_id == k:
                 cur, cur_img, link = p.atom, p.image, nxt
             else:
@@ -218,13 +232,12 @@ def encode_asp(
                 cur_img = here.declare(Atom(k, f"sbc_{tag}_p_{p.image.name}"))
                 link = here.declare(Atom(k, f"sbc_{tag}_pc{i + 1}"))
                 for aux_atom, source in ((cur, p.atom), (cur_img, p.image), (link, nxt)):
-                    bridge = BridgeRule(aux_atom, frozenset({source}), frozenset())
-                    if bridge not in here.br:
-                        here.br.append(bridge)
-            here.kb.append(Rule(frozenset({head}), frozenset({prev.atom, cur}), frozenset({cur_img})))
-            here.kb.append(Rule(frozenset({head}), frozenset({cur}), frozenset({prev.image, cur_img})))
-            here.kb.append(Rule(frozenset({head}), frozenset({prev.atom, link}), frozenset()))
-            here.kb.append(Rule(frozenset({head}), frozenset({link}), frozenset({prev.image})))
+                    here.bridge(BridgeRule(aux_atom, sets[source], EMPTY))
+            one = sets[head]
+            here.kb.append(Rule(one, frozenset({prev.atom, cur}), sets[cur_img]))
+            here.kb.append(Rule(one, sets[cur], frozenset({prev.image, cur_img})))
+            here.kb.append(Rule(one, frozenset({prev.atom, link}), EMPTY))
+            here.kb.append(Rule(one, sets[link], sets[prev.image]))
     return out
 
 
@@ -236,7 +249,8 @@ def extend_mcs(
     Permutations are encoded in a deterministic order (ascending support size,
     then cycle notation) under the tags ``p0, p1, ...`` that no atom of ``m``
     already uses, so a rewrite of a rewrite adds chains of its own; identities
-    are skipped.
+    are skipped.  The rules of all the constraints share one table of
+    one-atom fields.
     """
     if order is None:
         order = default_order(m)
@@ -245,26 +259,24 @@ def extend_mcs(
         a.name.split("_", 2)[1] for c in m.contexts for a in c.alphabet + c.aux if a.name.startswith("sbc_")
     }
     tags = (tag for tag in (f"p{i}" for i in count()) if tag not in used)
-    merged: dict[int, ContextAdditions] = {}
+    sets = Singletons()
+    merged: dict[int, list[ContextAdditions]] = {}
     for pi, tag in zip(todo, tags):
-        for cid, add in encode_asp(m, pi, order, tag).items():
-            into = merged.setdefault(cid, ContextAdditions())
-            into.aux.extend(add.aux)
-            into.kb.extend(add.kb)
-            into.br.extend(add.br)
+        for cid, add in encode_asp(m, pi, order, tag, sets).items():
+            merged.setdefault(cid, []).append(add)
     contexts = []
     for c in m.contexts:
-        add = merged.get(c.id)
-        if add is None:
+        adds = merged.get(c.id)
+        if adds is None:
             contexts.append(c)
         else:
             contexts.append(
                 Context(
                     c.id,
                     c.alphabet,
-                    c.kb + tuple(add.kb),
-                    c.br + tuple(add.br),
-                    c.aux + tuple(add.aux),
+                    c.kb + tuple(r for add in adds for r in add.kb),
+                    c.br + tuple(b for add in adds for b in add.br),
+                    c.aux + tuple(a for add in adds for a in add.aux),
                 )
             )
     return System(tuple(contexts))
