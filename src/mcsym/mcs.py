@@ -94,10 +94,11 @@ class Context:
         """The kb split into (original-only rules, auxiliary rules and constraints)."""
         bottom: list[Rule] = []
         auxpart: list[Rule] = []
+        original = self.original
         for r in self.kb:
-            if r.atoms() <= self.original:
+            if r.head <= original and r.body_pos <= original and r.body_neg <= original:
                 bottom.append(r)
-            elif r.head.isdisjoint(self.original):
+            elif r.head.isdisjoint(original):
                 auxpart.append(r)
             else:
                 raise InternalError(
@@ -117,7 +118,14 @@ class Context:
 
     @cached_property
     def _occurring(self) -> frozenset[Atom]:
-        return frozenset().union(*(r.atoms() for r in self.kb), *(b.atoms() for b in self.br))
+        # filled in place: a union over the rules' atoms() would hold a set per rule at once
+        out: set[Atom] = set()
+        for r in self.kb:
+            out.update(r.head, r.body_pos, r.body_neg)
+        for b in self.br:
+            out.add(b.head)
+            out.update(b.body_pos, b.body_neg)
+        return frozenset(out)
 
     def occurring(self) -> frozenset[Atom]:
         """Atoms mentioned anywhere in this context's rules (foreign included)."""
