@@ -148,21 +148,14 @@ def _parse_atom_token(tok: str, names: Mapping[str | tuple[int, str], Atom], lin
     return atom
 
 
-def parse_rule(
-    stmt: str,
-    names: Mapping[str | tuple[int, str], Atom],
-    lineno: int = 0,
-    sets: Singletons | None = None,
-) -> Rule:
+def parse_rule(stmt: str, names: Mapping[str | tuple[int, str], Atom], lineno: int, sets: Singletons) -> Rule:
     """Parse one statement, without its ``.``, into a rule.
 
     An atom is written as a plain name, which ``names`` resolves by the name,
     or as ``(c:name)``, which it resolves by ``(c, name)``; a token ``names``
     does not resolve is an error.  Errors name ``lineno``.  One-atom fields
-    come from ``sets``, the caller's table, or else from a fresh one.
+    come from ``sets``, the caller's table.
     """
-    if sets is None:
-        sets = Singletons()
     if ":-" in stmt:
         head_txt, body_txt = stmt.split(":-", 1)
         if ":-" in body_txt:
