@@ -55,15 +55,7 @@ class Gap:
 
 def exported_atoms(m: System, k: int) -> frozenset[Atom]:
     """Atoms of context ``k`` referenced by other contexts' bridge bodies."""
-    out: set[Atom] = set()
-    for c in m.contexts:
-        if c.id == k:
-            continue
-        for b in c.br:
-            for a in b.body_pos | b.body_neg:
-                if a.context_id == k:
-                    out.add(a)
-    return frozenset(out)
+    return m.exports.get(k, frozenset())
 
 
 def build_gap(

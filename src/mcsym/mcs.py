@@ -35,7 +35,9 @@ search derives outlives the call: tables, masks and programs are local to it.
 What the solver derives from a context is computed once, when first used, and
 kept on the context: its original alphabet as a set, its atoms with the
 auxiliary extension, the split knowledge base, its auxiliary rules in
-evaluation order and its import neighbourhood.
+evaluation order and its import neighbourhood.  A system likewise keeps its
+export map, each context's atoms that other contexts' bridge bodies read,
+built in one pass over all bridge rules when first read.
 Validating a system derives nothing that is kept.
 """
 
@@ -173,6 +175,17 @@ class System:
                         f"context {c.id}: bridge rule for original atom {b.head.name!r} "
                         "reads an auxiliary atom"
                     )
+
+    @cached_property
+    def exports(self) -> dict[int, frozenset[Atom]]:
+        """Per context id, its atoms that other contexts' bridge bodies read."""
+        out: dict[int, set[Atom]] = {}
+        for c in self.contexts:
+            for b in c.br:
+                for a in b.body_pos | b.body_neg:
+                    if a.context_id != c.id:
+                        out.setdefault(a.context_id, set()).add(a)
+        return {k: frozenset(v) for k, v in out.items()}
 
     def context(self, i: int) -> Context:
         c = self._by_id.get(i)

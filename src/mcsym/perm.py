@@ -171,6 +171,10 @@ def join(pi: Permutation, sigma: Permutation) -> Permutation | None:
     return Permutation({**pi._map, **sigma._map}, domain=pi.domain | sigma.domain)
 
 
+# Permutations one join may yield; past it the join raises BoundExceeded.
+JOIN_CAP = 2**16
+
+
 def join_sets(pis: Iterable[Permutation], sigmas: Iterable[Permutation]) -> frozenset[Permutation]:
     """All defined pairwise joins between two sets of permutations.
 
@@ -178,6 +182,7 @@ def join_sets(pis: Iterable[Permutation], sigmas: Iterable[Permutation]) -> froz
     one are indexed by their images of the atoms it shares with the other,
     and each member of ``pis`` on the other looks up its partners once.  A
     matched pair's join is a permutation by construction, so it is not checked.
+    Raises :class:`BoundExceeded` as soon as the result passes :data:`JOIN_CAP`.
     """
     out: set[Permutation] = set()
     by_domain = _by_domain(sigmas)
@@ -190,6 +195,8 @@ def join_sets(pis: Iterable[Permutation], sigmas: Iterable[Permutation]) -> froz
             for p in ps:
                 for s in index.get(tuple(map(p._map.get, shared, shared)), ()):
                     out.add(Permutation._trusted({**p._map, **s._map}, dom))
+                    if len(out) > JOIN_CAP:
+                        raise BoundExceeded(f"join exceeds cap of {JOIN_CAP} permutations")
     return frozenset(out)
 
 

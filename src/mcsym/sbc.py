@@ -15,9 +15,13 @@ contributes four rules defining a chain atom ``c_i`` that signals "the prefix
 before ``i-1`` was tied and the comparison at ``i-1`` did not already decide".
 Rules for position ``i`` live in the context owning atom ``i-1`` of the
 sequence; atoms and chain links owned elsewhere are imported through bridge
-rules into primed copies.  All added atoms are auxiliary: the rewritten
-system's acceptability splits them off, and projecting them away is a
-bijection onto the surviving original states.
+rules into primed copies.  Each context's piece keeps one copy per source
+atom, with one bridge rule: it is named after the source alone unless a
+same-named source of another context already holds that name in the piece,
+when it is qualified with its source's context id (only an order that
+interleaves contexts puts two foreign contexts in one piece).  All added
+atoms are auxiliary: the rewritten system's acceptability splits them off,
+and projecting them away is a bijection onto the surviving original states.
 """
 
 from __future__ import annotations
@@ -171,25 +175,6 @@ class ContextAdditions:
     aux: list[Atom] = field(default_factory=list)
     kb: list[Rule] = field(default_factory=list)
     br: list[BridgeRule] = field(default_factory=list)
-    # the members of ``aux`` and ``br``, so a repeat is found without a scan
-    _aux: dict[Atom, Atom] = field(init=False, repr=False, compare=False)
-    _br: set[BridgeRule] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._aux, self._br = {a: a for a in self.aux}, set(self.br)
-
-    def declare(self, a: Atom) -> Atom:
-        """Add ``a`` to ``aux`` unless it is there; returns the member equal to ``a``."""
-        got = self._aux.setdefault(a, a)
-        if got is a:
-            self.aux.append(a)
-        return got
-
-    def bridge(self, b: BridgeRule) -> None:
-        """Add ``b`` to ``br`` unless it is there."""
-        if b not in self._br:
-            self._br.add(b)
-            self.br.append(b)
 
 
 def encode_asp(
@@ -199,8 +184,10 @@ def encode_asp(
 
     Auxiliary atoms are namespaced by ``tag``: chain atoms ``sbc_<tag>_c<i>``,
     primed imports ``sbc_<tag>_p_<atom>`` and ``sbc_<tag>_pc<i>`` for an
-    imported chain link.  One-atom rule fields come from ``sets``, the
-    caller's table, or else from a fresh one.
+    imported chain link.  A piece copies each source atom it reads once; a
+    second source of the same name, from another context, gets the copy
+    ``sbc_<tag>_p<context id>_<atom>``.  One-atom rule fields come from
+    ``sets``, the caller's table, or else from a fresh one.
     """
     if sets is None:
         sets = Singletons()
@@ -217,6 +204,19 @@ def encode_asp(
         here = out[k] = ContextAdditions(
             aux=[chain[p.index] for p in piece.rule_positions] + ([chain[q + 1]] if piece.terminator else [])
         )
+        copies: dict[Atom, Atom] = {}  # a source atom read here -> its local copy
+
+        def primed(source: Atom, name: str) -> Atom:
+            copy = copies.get(source)
+            if copy is None:
+                copy = Atom(k, f"sbc_{tag}_{name}")
+                if copy in copies.values():  # a same-named source of another context holds it
+                    copy = Atom(k, f"sbc_{tag}_p{source.context_id}_{source.name}")
+                copies[source] = copy
+                here.aux.append(copy)
+                here.br.append(BridgeRule(copy, sets[source], EMPTY))
+            return copy
+
         if piece.first:
             s1, t1 = pc.positions[0].atom, pc.positions[0].image
             here.kb.append(Rule(EMPTY, sets[s1], sets[t1]))
@@ -228,11 +228,8 @@ def encode_asp(
             if p.atom.context_id == k:
                 cur, cur_img, link = p.atom, p.image, nxt
             else:
-                cur = here.declare(Atom(k, f"sbc_{tag}_p_{p.atom.name}"))
-                cur_img = here.declare(Atom(k, f"sbc_{tag}_p_{p.image.name}"))
-                link = here.declare(Atom(k, f"sbc_{tag}_pc{i + 1}"))
-                for aux_atom, source in ((cur, p.atom), (cur_img, p.image), (link, nxt)):
-                    here.bridge(BridgeRule(aux_atom, sets[source], EMPTY))
+                cur, cur_img = primed(p.atom, f"p_{p.atom.name}"), primed(p.image, f"p_{p.image.name}")
+                link = primed(nxt, f"pc{i + 1}")
             one = sets[head]
             here.kb.append(Rule(one, frozenset({prev.atom, cur}), sets[cur_img]))
             here.kb.append(Rule(one, sets[cur], frozenset({prev.image, cur_img})))

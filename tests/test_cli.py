@@ -23,6 +23,7 @@ from mcsym import (
     load_system,
     parse_system,
 )
+from mcsym import perm
 from mcsym.cli import main
 
 ROOT = Path(__file__).parent.parent
@@ -176,6 +177,15 @@ class TestDetect:
         assert rc == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header.startswith("graph 16 18")
+
+    @pytest.mark.parametrize("extra", [[], ["--service"]], ids=["dsd", "service"])
+    def test_oversize_group_exits_3(self, tmp_path, capsys, monkeypatch, extra):
+        path = tmp_path / "ring.mcs"
+        path.write_text(emit_system(generate(TopologySpec("ring", 8, 0, pair_probability=1))))
+        monkeypatch.setattr(perm, "JOIN_CAP", 100)
+        assert main(["detect", str(path), "--root", "1", *extra]) == 3
+        captured = capsys.readouterr()
+        assert "exceeds cap of 100" in captured.err and captured.out == ""
 
     def test_unknown_root_exits_4(self, example1_path, capsys):
         assert main(["detect", str(example1_path), "--root", "9"]) == 4

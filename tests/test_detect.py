@@ -9,6 +9,7 @@ import pytest
 
 from mcsym import (
     Atom,
+    BoundExceeded,
     Context,
     Permutation,
     System,
@@ -27,7 +28,7 @@ from mcsym import (
     rule,
 )
 from mcsym.autograph import automorphism_generators
-from mcsym import detect
+from mcsym import detect, perm
 from mcsym.detect import DetectionService, exported_atoms
 
 from helpers import atoms_of, chain_system, cyc, random_system
@@ -164,6 +165,16 @@ class TestDsd:
                 visited = frozenset(i for i in m.ids if rng.random() < 0.4) | {k}
                 assert dsd(m, k, visited) == ref(k, visited)
 
+    def test_oversize_groups_raise_bound_exceeded(self, monkeypatch):
+        # every context of the ring carries a swap: the group doubles per context
+        m = generate(TopologySpec("ring", 8, 0, pair_probability=1))
+        assert len(dsd(m, 1)) == 256
+        monkeypatch.setattr(perm, "JOIN_CAP", 100)
+        with pytest.raises(BoundExceeded, match="cap of 100"):
+            dsd(m, 1)
+        with pytest.raises(BoundExceeded, match="cap of 100"):
+            DetectionService(m).request(1)
+
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(41)
         for _ in range(15):
@@ -171,6 +182,24 @@ class TestDsd:
             for k in m.ids:
                 want = brute_force_partial_symmetries(m, sorted(import_closure(m, k)))
                 assert dsd(m, k) == want
+
+
+class TestExports:
+    def test_export_map_matches_a_scan_of_the_bridges(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            m = random_system(rng, max_contexts=4, max_atoms=3, self_reads=True)
+            for k in m.ids:
+                want = {
+                    a
+                    for c in m.contexts
+                    if c.id != k
+                    for b in c.br
+                    for a in b.body_pos | b.body_neg
+                    if a.context_id == k
+                }
+                assert exported_atoms(m, k) == want
+            assert m.exports is m.exports  # built once per system
 
 
 class TestService:

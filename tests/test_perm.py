@@ -28,6 +28,7 @@ from mcsym import (
     parse_cycles,
     reduce_irredundant,
 )
+from mcsym import perm as perm_module
 from mcsym.perm import perm_sort_key
 
 from helpers import cyc
@@ -179,6 +180,21 @@ class TestJoin:
 
     def test_empty_set(self):
         assert join_sets([], [ABDE]) == frozenset()
+
+    def test_join_sets_stops_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(perm_module, "JOIN_CAP", 3)
+        ab = {Permutation.identity({a, b}), perm({a: b, b: a})}
+        de = {Permutation.identity({d, e}), perm({d: e, e: d})}
+        with pytest.raises(BoundExceeded, match="cap of 3"):
+            join_sets(ab, de)  # four joins over disjoint domains
+
+    def test_join_cap_counts_the_joins_made(self, monkeypatch):
+        ab = {Permutation.identity({a, b}), perm({a: b, b: a})}
+        de = {Permutation.identity({d, e}), perm({d: e, e: d})}
+        group = join_sets(ab, de)
+        # 16 pairs on one domain, but each member agrees only with itself
+        monkeypatch.setattr(perm_module, "JOIN_CAP", 4)
+        assert join_sets(group, group) == group
 
 
 class TestClosureAndGenerators:

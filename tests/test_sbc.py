@@ -8,6 +8,7 @@ import pytest
 
 from mcsym import (
     Atom,
+    AtomOrder,
     BeliefState,
     BridgeRule,
     InternalError,
@@ -22,6 +23,8 @@ from mcsym import (
     enumerate_partial_equilibria,
     evaluate_distributed,
     extend_mcs,
+    group_closure,
+    import_closure,
     lex_leader_filter,
     parse_cycles,
     parse_system,
@@ -29,6 +32,7 @@ from mcsym import (
     project_original,
     rule,
     select_breaking_set,
+    System,
     vec,
 )
 
@@ -298,6 +302,117 @@ class TestExtend:
         ]
         assert sizes == sorted(sizes, reverse=True)
         assert sizes == [4, 3, 2]
+
+
+# contexts 2 and 3 declare the same names; context 1 reads both x atoms
+SHARED_NAMES = """mcs 3
+context 1
+  atoms a b c d e
+  kb
+  br
+    e :- (2:x), (3:x).
+context 2
+  atoms x y
+  kb
+    x :- not y.
+    y :- not x.
+  br
+context 3
+  atoms x y
+  kb
+    x :- not y.
+    y :- not x.
+  br
+"""
+
+
+def shared_name_system(rng: random.Random) -> System:
+    """Contexts 2 to 3 or 4 declare ``x y z``; context 1 reads ``x`` of every one.
+
+    Context 1 has five atoms, so an interleaving order can hand its piece of
+    a constraint the same-named atoms of two other contexts.
+    """
+    n = rng.randint(3, 4)
+    lines = [f"mcs {n}", "context 1", "atoms a b c d e", "kb"]
+    if rng.random() < 0.5:
+        lines += ["c :- not d.", "d :- not c."]
+    lines.append("br")
+    for j in range(2, n + 1):
+        lines.append(f"{rng.choice('abe')} :- ({j}:x).")
+    for j in range(2, n + 1):
+        lines += [f"context {j}", "atoms x y z", "kb", "x :- not y.", "y :- not x."]
+        if rng.random() < 0.5:
+            lines.append("z :- x.")
+        lines.append("br")
+        if j < n and rng.random() < 0.5:
+            lines.append(f"z :- ({j + 1}:y).")
+    return parse_system("\n".join(lines) + "\n")
+
+
+def within_contexts(rng: random.Random, m: System, ids) -> Permutation:
+    """A random permutation moving each listed context's atoms among themselves."""
+    mapping = {}
+    for i in ids:
+        atoms = list(m.context(i).alphabet)
+        mapping.update(zip(atoms, rng.sample(atoms, len(atoms))))
+    return Permutation(mapping)
+
+
+def shuffled_order(rng: random.Random, m: System) -> AtomOrder:
+    atoms = list(default_order(m).atoms)
+    rng.shuffle(atoms)
+    return AtomOrder(tuple(atoms))
+
+
+def solved(m):
+    return {project_original(m, s) for s in evaluate_distributed(m, 1)}
+
+
+class TestInterleavedOrders:
+    """Orders that interleave contexts, over contexts that share atom names."""
+
+    def test_same_named_imports_keep_their_own_copies(self):
+        m = parse_system(SHARED_NAMES)
+        pi = parse_cycles("(1.a 1.b)(1.c 1.d)(2.x 2.y)(3.x 3.y)", m.universe())
+        a, b, c, d, e = m.context(1).alphabet
+        x2, y2 = m.context(2).alphabet
+        x3, y3 = m.context(3).alphabet
+        order = AtomOrder((a, x2, c, x3, b, d, e, y2, y3))
+        m2 = extend_mcs(m, [pi], order)
+        pe = enumerate_partial_equilibria(m, 1)
+        want = {s for s in pe if pc_satisfied(s, pi, order)}
+        assert len(pe) == 4 and len(want) == 2
+        assert solved(m2) == want
+        assert {project_original(m2, s) for s in enumerate_partial_equilibria(m2, 1)} == want
+        # the second x and y read here are qualified with their context
+        assert [r.head.name for r in m2.context(1).br[1:]] == [
+            "sbc_p0_p_x", "sbc_p0_p_y", "sbc_p0_pc3", "sbc_p0_p3_x", "sbc_p0_p3_y", "sbc_p0_pc5"
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rewrites_match_the_reference_filters(self, seed):
+        rng = random.Random(seed)
+        for _ in range(6):
+            m = shared_name_system(rng)
+            pe = enumerate_partial_equilibria(m, 1)
+            for _ in range(4):
+                pi = within_contexts(rng, m, import_closure(m, 1))
+                order = shuffled_order(rng, m)
+                want = {s for s in pe if pc_satisfied(s, pi, order)}
+                assert solved(extend_mcs(m, [pi], order)) == want, (emit_system(m), pi, order)
+                group = group_closure([pi])
+                want = lex_leader_filter(pe, group, order)
+                assert solved(extend_mcs(m, group, order)) == want, (emit_system(m), pi, order)
+
+    def test_the_shared_names_system_over_many_orders(self):
+        rng = random.Random(5)
+        m = parse_system(SHARED_NAMES)
+        pe = enumerate_partial_equilibria(m, 1)
+        for _ in range(200):
+            pi = within_contexts(rng, m, m.ids)
+            order = shuffled_order(rng, m)
+            want = {s for s in pe if pc_satisfied(s, pi, order)}
+            assert solved(extend_mcs(m, [pi], order)) == want, (pi, order)
 
 
 class TestProjection:
