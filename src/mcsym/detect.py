@@ -4,7 +4,7 @@ Local detection reduces one context to a vertex-coloured digraph whose
 automorphisms correspond exactly to the partial symmetries of the system with
 respect to that context: two vertices per occurring atom (a positive one
 coloured by the declaring context and a negative one sharing a single
-"negated" colour), one body vertex per rule (knowledge-base and bridge bodies
+"negated" colour), one body vertex per distinct rule (kb and bridge bodies
 get distinct colours), edges from body literals to the body vertex, from the
 body vertex to each head atom, and one consistency edge from each atom's
 positive to its negative vertex.
@@ -102,9 +102,9 @@ def build_gap(
         for h in heads:
             edges.add((b, pos[h]))
 
-    for r in ctx.kb:
+    for r in dict.fromkeys(ctx.kb):
         add_body(kb_colour, r.body_pos, r.body_neg, r.head)
-    for br in ctx.br:
+    for br in dict.fromkeys(ctx.br):
         add_body(br_colour, br.body_pos, br.body_neg, [br.head])
     return Gap(Graph(tuple(colours), frozenset(edges)), tuple(occ), pos, neg)
 

@@ -170,6 +170,7 @@ def random_system(
     allow_cycles: bool = True,
     edge_probability: float = 0.5,
     self_reads: bool = False,
+    repeat_rules: bool = False,
 ) -> System:
     """A random well-formed system, biased toward symmetric structure.
 
@@ -178,7 +179,9 @@ def random_system(
     out of other local rules, and importers may reference both twins with the
     same head and sign.  This makes nontrivial symmetry groups common while
     everything else stays arbitrary.  With ``self_reads``, a context may also
-    import itself: its bridge rules then read its own atoms.
+    import itself: its bridge rules then read its own atoms.  With
+    ``repeat_rules``, each context's kb and bridge rules are, each with
+    probability 1/2, followed by a copy of one of them.
     """
     n = rng.randint(min_contexts, max_contexts)
     alphabets = {
@@ -239,7 +242,12 @@ def random_system(
                 else:
                     br.append(BridgeRule(head, frozenset(), frozenset({x})))
                     br.append(BridgeRule(head, frozenset(), frozenset({y})))
-        contexts.append(Context(i, atoms, tuple(kb), tuple(dict.fromkeys(br))))
+        br = list(dict.fromkeys(br))
+        if repeat_rules:
+            for rules in (kb, br):
+                if rules and rng.random() < 0.5:
+                    rules.append(rng.choice(rules))
+        contexts.append(Context(i, atoms, tuple(kb), tuple(br)))
     return System(tuple(contexts))
 
 

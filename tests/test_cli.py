@@ -274,6 +274,13 @@ class TestSolve:
         want = sorted(evaluate_distributed(example1, None), key=lambda s: s.sort_key())
         assert capsys.readouterr().out == "".join(str(s) + "\n" for s in want)
 
+    @pytest.mark.parametrize("extra", [[], ["--naive"]])
+    def test_empty_system_has_one_empty_equilibrium(self, extra, tmp_path, capsys):
+        empty = tmp_path / "empty.mcs"
+        empty.write_text("mcs 0\n")
+        assert main(["solve", str(empty), *extra]) == 0
+        assert capsys.readouterr().out == "\n"
+
     @pytest.mark.parametrize("extra", [[], ["--root", "1"], ["--naive"]])
     def test_cross_context_aux_cycle_exits_4(self, extra, tmp_path, capsys):
         # x and y are aux atoms that derive each other through br rules

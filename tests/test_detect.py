@@ -104,6 +104,12 @@ class TestLsd:
             dom = example1.universe(within=[k])
             assert all(p.domain == dom for p in lsd(example1, k))
 
+    def test_a_repeated_rule_counts_once(self):
+        # context 8 lists the bridge rule a8_1 :- (9:a9_1), not (9:a9_2). twice
+        m = generate(TopologySpec("ring", 10, 9, pair_probability=1.0))
+        assert len(set(m.context(8).br)) < len(m.context(8).br)
+        assert lsd(m, 8) == brute_force_partial_symmetries(m, [8])
+
     def test_local_mode_yields_whole_system_symmetries(self, example1):
         got = lsd(example1, 2, mode="local")
         assert cyc(got) == {"()", "(2.f 2.g)"}
@@ -182,6 +188,14 @@ class TestDsd:
             for k in m.ids:
                 want = brute_force_partial_symmetries(m, sorted(import_closure(m, k)))
                 assert dsd(m, k) == want
+
+    def test_matches_brute_force_when_rules_repeat(self):
+        # rules are compared as sets, so a repeated rule must not split a symmetry
+        rng = random.Random(7)
+        for _ in range(300):
+            m = random_system(rng, max_contexts=3, max_atoms=3, repeat_rules=True)
+            for k in m.ids:
+                assert dsd(m, k) == brute_force_partial_symmetries(m, sorted(import_closure(m, k)))
 
 
 class TestExports:
