@@ -4,12 +4,16 @@
 ``Generator(Philox(SeedSequence(seed).spawn(n)[i]))`` draws:
 
 * the child's Philox key is ``generate_state(2, uint64)`` of a pool of four
-  32-bit words hashed from the seed and the child's spawn key;
+  32-bit words hashed from the seed and the child's spawn key; the seed's
+  words are hashed into the pool once per spawn, and then every child mixes
+  in its index at once, each child a 128-bit lane of one int;
 * Philox 4x64-10 (Salmon, Moraes, Dror & Shaw, SC 2011) bumps its 256-bit
-  counter before each block of four 64-bit words;
+  counter before each block of four 64-bit words; the children's blocks
+  are made together too, lane by lane;
 * ``random()`` is ``(next64 >> 11) * 2**-53``;
 * ``integers(lo, hi)`` is Lemire's bounded method (ACM TOMACS 2019) on
-  32-bit draws: the low half of a 64-bit word, whose high half is the next;
+  32-bit draws: the low half of a 64-bit word, whose high half is the next,
+  read inline with no call per draw;
 * ``choice(n, size)`` without replacement is Floyd's algorithm, then a
   Fisher-Yates pass over the picks; for ``n > 10000`` and ``size > n // 50``
   it is a Fisher-Yates pass over the tail of ``range(n)``.
@@ -19,7 +23,10 @@ Ranges of more than ``2**32`` values are not ported.
 
 from __future__ import annotations
 
-from typing import Callable
+import struct
+from itertools import chain, count
+from operator import itemgetter
+from typing import Iterator
 
 M32 = 0xFFFFFFFF
 M64 = (1 << 64) - 1
@@ -42,30 +49,29 @@ def _words(x: int) -> list[int]:
     return [x >> s & M32 for s in range(0, max(x.bit_length(), 1), 32)]
 
 
-def _hasher(h: int, mult: int) -> Callable[[int], int]:
-    """SeedSequence's word hash, whose constant steps by ``mult`` on each call."""
+def spawn(seed: int, n: int) -> list[Philox]:
+    """The generators of ``SeedSequence(seed).spawn(n)``'s children, in order.
 
-    def hash32(v: int) -> int:
+    A child's entropy is the seed's words, padded to the pool size, then its
+    index: one word, as no list holds ``2**32`` children.  So the seed's words
+    are hashed into the pool once, and then every child mixes in its index at
+    once, each child a 128-bit lane of one int (see :func:`_streams`).
+    """
+    h = INIT_A  # the word hash's constant, which steps by MULT_A on each word hashed
+
+    def hashmix(v: int) -> int:
         nonlocal h
         v ^= h
-        h = h * mult & M32
+        h = h * MULT_A & M32
         v = v * h & M32
         return v ^ v >> 16
-
-    return hash32
-
-
-def _key(entropy: list[int]) -> tuple[int, int]:
-    """The first two 64-bit state words of SeedSequence's pool for ``entropy``.
-
-    A spawned child's ``entropy`` has at least ``POOL_SIZE`` words.
-    """
-    hashmix = _hasher(INIT_A, MULT_A)
 
     def mix(x: int, y: int) -> int:
         r = MIX_MULT_L * x - MIX_MULT_R * y & M32
         return r ^ r >> 16
 
+    entropy = _words(seed)
+    entropy += [0] * (POOL_SIZE - len(entropy))  # a spawned child pads the seed's words to the pool size
     pool = [hashmix(word) for word in entropy[:POOL_SIZE]]
     for src in range(POOL_SIZE):
         for dst in range(POOL_SIZE):
@@ -74,75 +80,88 @@ def _key(entropy: list[int]) -> tuple[int, int]:
     for word in entropy[POOL_SIZE:]:
         for dst in range(POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
-    state = list(map(_hasher(INIT_B, MULT_B), pool))
-    return state[0] | state[1] << 32, state[2] | state[3] << 32
+    # the last word, then generate_state's hash, lane by lane: no lane passes 2**65
+    ones = int.from_bytes(b"\1".ljust(16, b"\0") * n, "little")  # 1 in each lane
+    low = M32 * ones
+    index = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(n)), "little")
+    state, hb = [], INIT_B
+    for x in pool:
+        v = index ^ h * ones
+        h = h * MULT_A & M32
+        v = v * h & low
+        v = (v ^ v >> 16) & low
+        r = (MIX_MULT_L * x & M32) * ones + (-MIX_MULT_R & M32) * v & low  # mix(x, v), kept positive
+        r = (r ^ r >> 16) & low ^ hb * ones
+        hb = hb * MULT_B & M32
+        r = r * hb & low
+        state.append((r ^ r >> 16) & low)
+    return list(map(Philox, _streams(state[0] | state[1] << 32, state[2] | state[3] << 32, n)))
 
 
-def spawn(seed: int, n: int) -> list[Philox]:
-    """The generators of ``SeedSequence(seed).spawn(n)``'s children, in order."""
-    run = _words(seed)
-    # a spawned child pads the seed's words to the pool size
-    run += [0] * (POOL_SIZE - len(run))
-    return [Philox(_key(run + _words(i))) for i in range(n)]
+def _streams(k0: int, k1: int, n: int) -> list[Iterator[int]]:
+    """The 64-bit words of Philox 4x64-10 under each of ``n`` keys, in order.
+
+    Key ``i`` is lane ``i`` of ``k0`` and ``k1``: their bits ``128 i`` up to
+    ``128 i + 64``.  The counter starts at 0 and is bumped before each block
+    of four words.  The keys run side by side, so a round is a few int
+    operations for every key at once; the next block of every key is made
+    when the first of them reaches it, and kept.
+    """
+    ones = int.from_bytes(b"\1".ljust(16, b"\0") * n, "little")  # 1 in each lane
+    low = M64 * ones  # the low 64 bits of each lane
+    schedule = [(k0 + r * PHILOX_W0 * ones & low, k1 + r * PHILOX_W1 * ones & low) for r in range(ROUNDS)]
+    lanes = struct.Struct(f"<{2 * n}Q")  # a lane's 64-bit words are at the even places
+    blocks: list[list[tuple[int, ...]]] = []  # per block, each key's four words
+
+    def block(j: int) -> list[tuple[int, ...]]:
+        if j == len(blocks):
+            counter = j + 1 & M256
+            c0, c1, c2, c3 = ((counter >> s & M64) * ones for s in (0, 64, 128, 192))
+            for r0, r1 in schedule:
+                p0, p1 = PHILOX_M0 * c0, PHILOX_M1 * c2
+                c0, c1, c2, c3 = p1 >> 64 & low ^ c1 ^ r0, p1 & low, p0 >> 64 & low ^ c3 ^ r1, p0 & low
+            words = [lanes.unpack(c.to_bytes(16 * n, "little"))[::2] for c in (c0, c1, c2, c3)]
+            blocks.append(list(zip(*words)))
+        return blocks[j]
+
+    return [chain.from_iterable(map(itemgetter(i), map(block, count()))) for i in range(n)]
 
 
 class Philox:
-    """numpy's ``Generator(Philox(child))`` for one spawned child's key."""
+    """numpy's ``Generator(Philox(child))``, drawing on the child's words from :func:`_streams`."""
 
-    __slots__ = ("_keys", "_counter", "_block", "_half")
+    __slots__ = ("_next64", "_half")
 
-    def __init__(self, key: tuple[int, int]) -> None:
-        k0, k1 = key
-        keys = []
-        for _ in range(ROUNDS):
-            keys.append((k0, k1))
-            k0, k1 = k0 + PHILOX_W0 & M64, k1 + PHILOX_W1 & M64
-        self._keys = tuple(keys)
-        self._counter = 0
-        self._block: list[int] = []  # the current block's unread words, last first
+    def __init__(self, words: Iterator[int]) -> None:
+        self._next64 = words.__next__
         self._half: int | None = None  # the high half of the last word split for 32 bits
-
-    def _next64(self) -> int:
-        if not self._block:
-            self._counter = c = self._counter + 1 & M256
-            c0, c1, c2, c3 = c & M64, c >> 64 & M64, c >> 128 & M64, c >> 192
-            for k0, k1 in self._keys:
-                p0, p1 = PHILOX_M0 * c0, PHILOX_M1 * c2
-                c0, c1, c2, c3 = p1 >> 64 ^ c1 ^ k0, p1 & M64, p0 >> 64 ^ c3 ^ k1, p0 & M64
-            self._block = [c3, c2, c1, c0]
-        return self._block.pop()
-
-    def _next32(self) -> int:
-        if self._half is not None:
-            x, self._half = self._half, None
-            return x
-        x = self._next64()
-        self._half = x >> 32
-        return x & M32
-
-    def _bounded(self, rng: int) -> int:
-        """Uniform on ``[0, rng]``; a range of one value draws nothing."""
-        if rng == 0:
-            return 0
-        if rng > M32:
-            raise ValueError(f"range {rng + 1} needs 64-bit draws, which are not ported")
-        excl = rng + 1
-        m = self._next32() * excl
-        if m & M32 < excl:
-            threshold = (M32 - rng) % excl
-            while m & M32 < threshold:
-                m = self._next32() * excl
-        return m >> 32
 
     def random(self) -> float:
         """Uniform on ``[0, 1)``, from the top 53 bits of one 64-bit word."""
         return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
 
     def integers(self, lo: int, hi: int) -> int:
-        """Uniform on ``[lo, hi)``."""
-        if hi <= lo:
-            raise ValueError(f"low >= high: {lo} >= {hi}")
-        return lo + self._bounded(hi - lo - 1)
+        """Uniform on ``[lo, hi)``; a range of one value draws nothing."""
+        rng = hi - lo - 1
+        if rng <= 0:
+            if rng < 0:
+                raise ValueError(f"low >= high: {lo} >= {hi}")
+            return lo
+        if rng > M32:
+            raise ValueError(f"range {rng + 1} needs 64-bit draws, which are not ported")
+        excl = rng + 1
+        threshold = (M32 - rng) % excl  # Lemire: a low half below it is drawn again
+        while True:
+            x = self._half
+            if x is None:  # a fresh word: its low half now, its high half next
+                x = self._next64()
+                self._half = x >> 32
+                x &= M32
+            else:
+                self._half = None
+            m = x * excl
+            if m & M32 >= threshold:
+                return lo + (m >> 32)
 
     def choice(self, n: int, size: int) -> list[int]:
         """``size`` distinct draws from ``range(n)``: ``choice(n, size, replace=False)``."""
@@ -155,16 +174,17 @@ class Philox:
         picks: list[int] = []
         seen: set[int] = set()
         for j in range(n - size, n):
-            v = self._bounded(j)
+            v = self.integers(0, j + 1)
             if v in seen:
                 v = j
             seen.add(v)
             picks.append(v)
-        self._shuffle(picks, 1)
+        if size > 1:
+            self._shuffle(picks, 1)
         return picks
 
     def _shuffle(self, data: list[int], first: int) -> None:
         """Swap each place from the last down to ``first`` with a uniform earlier one."""
         for i in range(len(data) - 1, first - 1, -1):
-            j = self._bounded(i)
+            j = self.integers(0, i + 1)
             data[i], data[j] = data[j], data[i]

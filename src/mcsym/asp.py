@@ -99,23 +99,29 @@ def occurring_atoms(program: Iterable[Rule]) -> frozenset[Atom]:
 # parsing / emission
 
 
-def _code_lines(text: str) -> Iterator[tuple[str, int]]:
+def _code_lines(text: str) -> list[tuple[str, int]]:
     """The lines of ``text`` cut at ``%`` comments, as ``(text, file line)``; blank ones are dropped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if code := raw.split("%", 1)[0].strip():
-            yield code, lineno
+    lines = text.splitlines()
+    if "%" in text:
+        lines = [raw.split("%", 1)[0] for raw in lines]
+    return [(code, n) for n, raw in enumerate(lines, start=1) if (code := raw.strip())]
 
 
 def _split_statements(lines: Iterable[tuple[str, int]]) -> list[tuple[str, int]]:
     """Split comment-free ``(text, file line)`` pairs into statements at each ``.``.
 
     Returns ``(statement, line)`` pairs, with the file line each statement
-    starts on; a statement may span lines (see :func:`_code_lines`).
+    starts on; a statement may span lines (see :func:`_code_lines`).  A line
+    that holds one whole statement, as emitted ones do, is taken as it is.
     """
     out: list[tuple[str, int]] = []
     buf: list[str] = []
     start_line = 0
     for line, lineno in lines:
+        if not buf and line.find(".") == len(line) - 1:
+            if stmt := line[:-1].strip():
+                out.append((stmt, lineno))
+            continue
         while "." in line:
             chunk, line = line.split(".", 1)
             if not buf:
@@ -132,6 +138,11 @@ def _split_statements(lines: Iterable[tuple[str, int]]) -> list[tuple[str, int]]
     if buf:
         raise ParseError("rule not terminated by '.'", line=start_line)
     return out
+
+
+def _spellable(name: str) -> bool:
+    """Whether a token can name ``name``: an ASCII identifier, as ``_NAME_RE`` reads one."""
+    return name.isidentifier() and name.isascii()
 
 
 def _parse_atom_token(tok: str, names: Mapping[str | tuple[int, str], Atom], lineno: int) -> Atom:
@@ -153,34 +164,43 @@ def parse_rule(stmt: str, names: Mapping[str | tuple[int, str], Atom], lineno: i
 
     An atom is written as a plain name, which ``names`` resolves by the name,
     or as ``(c:name)``, which it resolves by ``(c, name)``; a token ``names``
-    does not resolve is an error.  Errors name ``lineno``.  One-atom fields
+    does not resolve is an error.  A token costs one lookup of its text as
+    written; only a miss goes through the regexes and their error messages.
+    So each text key of ``names`` must read as the regexes read it: a
+    :func:`_spellable` name, or the canonical text ``(c:name)`` of the atom
+    that ``(c, name)`` maps to.  Errors name ``lineno``.  One-atom fields
     come from ``sets``, the caller's table.
     """
-    if ":-" in stmt:
-        head_txt, body_txt = stmt.split(":-", 1)
-        if ":-" in body_txt:
-            raise ParseError("rule has two ':-'", line=lineno)
-    else:
-        head_txt, body_txt = stmt, ""
+    head_txt, _, body_txt = stmt.partition(":-")
+    if ":-" in body_txt:
+        raise ParseError("rule has two ':-'", line=lineno)
+    if atom := names.get(head_txt.strip()):  # one atom, the common head
+        return Rule(sets[atom], *_parse_body(body_txt, names, lineno, sets))
     head: set[Atom] = set()
     for part in head_txt.split(";"):
-        part = part.strip()
-        if part:
-            head.add(_parse_atom_token(part, names, lineno))
+        if part := part.strip():
+            head.add(names.get(part) or _parse_atom_token(part, names, lineno))
     if not head and head_txt.strip():
         raise ParseError("malformed head", line=lineno)
+    return Rule(EMPTY if not head else sets[head.pop()] if len(head) == 1 else frozenset(head),
+                *_parse_body(body_txt, names, lineno, sets))
+
+
+def _parse_body(
+    body_txt: str, names: Mapping[str | tuple[int, str], Atom], lineno: int, sets: Singletons
+) -> tuple[frozenset[Atom], frozenset[Atom]]:
+    """The positive and negative fields of a rule body, read as :func:`parse_rule` reads it."""
     pos: set[Atom] = set()
     neg: set[Atom] = set()
     for part in body_txt.split(","):
         part = part.strip()
-        if not part:
-            continue
-        if part.startswith("not "):
-            neg.add(_parse_atom_token(part[4:], names, lineno))
-        else:
+        if atom := names.get(part):
+            pos.add(atom)
+        elif part.startswith("not "):
+            neg.add(names.get(part[4:].lstrip()) or _parse_atom_token(part[4:], names, lineno))
+        elif part:
             pos.add(_parse_atom_token(part, names, lineno))
-    return Rule(
-        EMPTY if not head else sets[head.pop()] if len(head) == 1 else frozenset(head),
+    return (
         EMPTY if not pos else sets[pos.pop()] if len(pos) == 1 else frozenset(pos),
         EMPTY if not neg else sets[neg.pop()] if len(neg) == 1 else frozenset(neg),
     )
@@ -188,20 +208,22 @@ def parse_rule(stmt: str, names: Mapping[str | tuple[int, str], Atom], lineno: i
 
 def parse_program(text: str, alphabet: Iterable[Atom]) -> tuple[Rule, ...]:
     """Parse a logic program over a fixed alphabet of atoms."""
-    names = {a.name: a for a in alphabet}
+    names = {a.name: a for a in alphabet if _spellable(a.name)}
     sets = Singletons()
     statements = _split_statements(_code_lines(text))
     return tuple(parse_rule(stmt, names, lineno, sets) for stmt, lineno in statements)
 
 
 def emit_rule(r: Rule) -> str:
-    head = " ; ".join(a.name for a in sorted(r.head))
-    body = [a.name for a in sorted(r.body_pos)] + [f"not {a.name}" for a in sorted(r.body_neg)]
-    if not body:
-        return f"{head}."
-    if not head:
-        return ":- " + ", ".join(body) + "."
-    return f"{head} :- " + ", ".join(body) + "."
+    if len(r.head) == 1:  # most heads: one atom, nothing to sort
+        (a,) = r.head
+        head = a.name
+    else:
+        head = " ; ".join([a.name for a in sorted(r.head)])
+    if not r.body_pos and not r.body_neg:
+        return head + "."
+    body = ", ".join([a.name for a in sorted(r.body_pos)] + ["not " + a.name for a in sorted(r.body_neg)])
+    return f"{head} :- {body}." if head else f":- {body}."
 
 
 def emit_program(program: Iterable[Rule]) -> str:

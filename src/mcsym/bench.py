@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import _rng
 from .asp import EMPTY, Rule, Singletons
@@ -109,73 +109,47 @@ def topology_edges(spec: TopologySpec) -> frozenset[tuple[int, int]]:
 
 def generate(spec: TopologySpec) -> System:
     """A reproducible random system on the requested topology."""
-    rngs = dict(enumerate(_rng.spawn(spec.seed, spec.n), start=1))
-    edges = topology_edges(spec)
-    out_edges = {i: sorted(v for u, v in edges if u == i) for i in range(1, spec.n + 1)}
+    ids = range(1, spec.n + 1)
+    rngs = dict(zip(ids, _rng.spawn(spec.seed, spec.n)))
+    out_edges: dict[int, list[int]] = {i: [] for i in ids}
+    for u, v in sorted(topology_edges(spec)):
+        out_edges[u].append(v)
 
-    alphabet: dict[int, tuple[Atom, ...]] = {}
+    alphabet = {i: tuple(Atom(i, f"a{i}_{j}") for j in range(1, spec.atoms_per_context + 1)) for i in ids}
     plain: dict[int, list[Atom]] = {}
-    pair: dict[int, tuple[Atom, Atom] | None] = {}
     exports: dict[int, list[Atom]] = {}
     kbs: dict[int, list[Rule]] = {}
-
-    k = spec.atoms_per_context
-    for i in range(1, spec.n + 1):
-        alphabet[i] = tuple(Atom(i, f"a{i}_{j}") for j in range(1, k + 1))
     # one-atom rule fields, shared across the system
     sets = Singletons().fill([a for atoms in alphabet.values() for a in atoms])
-    for i in range(1, spec.n + 1):
+    for i in ids:
         rng = rngs[i]
         atoms = alphabet[i]
         if rng.random() < spec.pair_probability:
-            pair[i] = (atoms[-2], atoms[-1])
-            plain[i] = list(atoms[:-2])
+            p, q = atoms[-2:]
+            plain[i] = own = list(atoms[:-2])
+            kbs[i] = kb = [Rule(sets[p], EMPTY, sets[q]), Rule(sets[q], EMPTY, sets[p])]
         else:
-            pair[i] = None
-            plain[i] = list(atoms)
-        n_exp = rng.integers(1, min(spec.max_exports, len(plain[i])) + 1)
-        exports[i] = plain[i][:n_exp]
-        kb: list[Rule] = []
-        if pair[i] is not None:
-            p, q = pair[i]
-            kb.append(Rule(sets[p], EMPTY, sets[q]))
-            kb.append(Rule(sets[q], EMPTY, sets[p]))
-        n_rules = rng.integers(1, spec.max_kb_rules + 1)
-        for _ in range(n_rules):
-            head_atom = plain[i][rng.integers(0, len(plain[i]))]
-            heads = {head_atom}
-            if len(plain[i]) >= 2 and rng.random() < 0.2:
-                other = plain[i][rng.integers(0, len(plain[i]))]
-                heads.add(other)
-            body_pool = [a for a in plain[i] if a not in heads]
+            plain[i] = own = list(atoms)
+            kbs[i] = kb = []
+        exports[i] = own[:rng.integers(1, min(spec.max_exports, len(own)) + 1)]
+        for _ in range(rng.integers(1, spec.max_kb_rules + 1)):
+            heads = {own[rng.integers(0, len(own))]}
+            if len(own) >= 2 and rng.random() < 0.2:
+                heads.add(own[rng.integers(0, len(own))])
+            body_pool = [a for a in own if a not in heads]
             size = rng.integers(0, min(spec.max_body, len(body_pool)) + 1)
-            pos: set[Atom] = set()
-            neg: set[Atom] = set()
-            for idx in sorted(rng.choice(len(body_pool), size)):
-                if rng.random() < 0.4:
-                    neg.add(body_pool[idx])
-                else:
-                    pos.add(body_pool[idx])
-            kb.append(
-                Rule(
-                    sets[heads.pop()] if len(heads) == 1 else frozenset(heads),
-                    EMPTY if not pos else sets[pos.pop()] if len(pos) == 1 else frozenset(pos),
-                    EMPTY if not neg else sets[neg.pop()] if len(neg) == 1 else frozenset(neg),
-                )
-            )
-        kbs[i] = kb
+            head = sets[heads.pop()] if len(heads) == 1 else frozenset(heads)
+            kb.append(Rule(head, *_random_body(rng, body_pool, size, sets)))
 
     contexts = []
-    for i in range(1, spec.n + 1):
-        rng = rngs[i]
-        brs: list[BridgeRule] = []
-        for v in out_edges[i]:
-            brs.append(_random_bridge(rng, spec, plain[i], exports[v], sets))
-        if out_edges[i]:
-            extra = rng.integers(0, max(0, spec.max_bridge_rules - len(out_edges[i])) + 1)
+    for i in ids:
+        rng, own, outs = rngs[i], plain[i], out_edges[i]
+        brs = [_random_bridge(rng, spec, own, exports[v], sets) for v in outs]
+        if outs:
+            extra = rng.integers(0, max(0, spec.max_bridge_rules - len(outs)) + 1)
             for _ in range(extra):
-                v = out_edges[i][rng.integers(0, len(out_edges[i]))]
-                brs.append(_random_bridge(rng, spec, plain[i], exports[v], sets))
+                v = outs[rng.integers(0, len(outs))]
+                brs.append(_random_bridge(rng, spec, own, exports[v], sets))
         contexts.append(Context(i, alphabet[i], tuple(kbs[i]), tuple(brs)))
     return System(tuple(contexts))
 
@@ -189,15 +163,18 @@ def _random_bridge(
 ) -> BridgeRule:
     head = own_plain[rng.integers(0, len(own_plain))]
     size = rng.integers(1, min(spec.max_body, len(neighbour_exports)) + 1)
+    return BridgeRule(head, *_random_body(rng, neighbour_exports, size, sets))
+
+
+def _random_body(
+    rng: _rng.Philox, pool: Sequence[Atom], size: int, sets: Singletons
+) -> tuple[frozenset[Atom], frozenset[Atom]]:
+    """``size`` distinct atoms of ``pool``, each negated with probability 0.4, as body fields."""
     pos: set[Atom] = set()
     neg: set[Atom] = set()
-    for idx in sorted(rng.choice(len(neighbour_exports), size)):
-        if rng.random() < 0.4:
-            neg.add(neighbour_exports[idx])
-        else:
-            pos.add(neighbour_exports[idx])
-    return BridgeRule(
-        head,
+    for idx in sorted(rng.choice(len(pool), size)):
+        (neg if rng.random() < 0.4 else pos).add(pool[idx])
+    return (
         EMPTY if not pos else sets[pos.pop()] if len(pos) == 1 else frozenset(pos),
         EMPTY if not neg else sets[neg.pop()] if len(neg) == 1 else frozenset(neg),
     )

@@ -17,7 +17,8 @@ import traceback
 from . import bench as bench_mod
 from .detect import DetectionService, build_gap, dsd, exported_atoms
 from .errors import BoundExceeded, McsymError, ParseError
-from .mcs import _emit_sections, emit_system, enumerate_partial_equilibria, evaluate_distributed, load_system
+from .mcs import (_emit_sections, component_parts, emit_system, enumerate_partial_equilibria,
+                  evaluate_distributed, load_system)
 from .perm import Permutation, emit_cycles, perm_sort_key
 from .sbc import default_order, extend_mcs
 from .autograph import emit_graph
@@ -107,8 +108,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         states = enumerate_partial_equilibria(m, args.root, bound=args.bound)
     else:
         states = evaluate_distributed(m, args.root, bound=args.bound)
-    for s in sorted(states, key=lambda s: s.sort_key()):
-        print(s)
+    # states share components: key and render each distinct one once
+    parts: dict[tuple, tuple[tuple, str]] = {}
+    rows = []
+    for s in states:
+        comps = [parts.get(c) or parts.setdefault(c, component_parts(*c)) for c in s.components]
+        rows.append((tuple([key for key, _ in comps]), " ".join([text for _, text in comps])))
+    rows.sort()  # no two states share a key
+    sys.stdout.writelines(text + "\n" for _, text in rows)
     return 0
 
 

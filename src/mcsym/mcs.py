@@ -242,22 +242,18 @@ class BeliefState:
         )
 
     def sort_key(self) -> tuple:
-        key = []
-        for i, v in self.components:
-            if v is None:
-                key.append((i, 1, ()))
-            else:
-                key.append((i, 0, tuple(sorted(a.name for a in v))))
-        return tuple(key)
+        return tuple([component_parts(*c)[0] for c in self.components])
 
     def __str__(self) -> str:
-        parts = []
-        for i, v in self.components:
-            if v is None:
-                parts.append(f"{i}=eps")
-            else:
-                parts.append(f"{i}={{{','.join(sorted(a.name for a in v))}}}")
-        return " ".join(parts)
+        return " ".join([component_parts(*c)[1] for c in self.components])
+
+
+def component_parts(i: int, v: frozenset[Atom] | None) -> tuple[tuple, str]:
+    """The sort key and the text of component ``i`` of a belief state: set ``v``, or eps."""
+    if v is None:
+        return (i, 1, ()), f"{i}=eps"
+    names = tuple(sorted(a.name for a in v))
+    return (i, 0, names), f"{i}={{{','.join(names)}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -699,15 +695,21 @@ def parse_system(text: str) -> System:
           br
 
     An optional ``aux`` line after ``atoms`` declares auxiliary atoms.
-    ``%`` starts a comment.  kb and br statements are both read by
-    :func:`asp.parse_rule`; a bridge body literal ``(c:name)`` resolves
-    against every atom the file declares.  Errors name the line of the file.
+    ``%`` starts a comment.  kb statements are read by :func:`asp.parse_rule`,
+    and bridge bodies as its bodies are; a bridge body literal ``(c:name)``
+    resolves against every atom the file declares.  Errors name the line of
+    the file.
     """
     # per context: its id, alphabet, aux atoms, kb lines and br lines
     sections: list[tuple[int, list[Atom], list[Atom], list, list]] = []
     expect = "mcs"
     for line, lineno in asp._code_lines(text):
-        if expect == "mcs":
+        # the rule lines first: they are most of a file
+        if expect == "br rules" and not line.startswith("context"):
+            rules.append((line, lineno))
+        elif expect == "kb rules" and line != "br" and not line.startswith("context"):
+            rules.append((line, lineno))
+        elif expect == "mcs":
             mhead = re.match(r"mcs\s+(\d+)$", line)
             if not mhead:
                 raise ParseError("expected 'mcs <n>' header", line=lineno)
@@ -724,12 +726,10 @@ def parse_system(text: str) -> System:
             if line != "kb":
                 raise ParseError("expected 'kb' section", line=lineno)
             expect = "kb rules"
-        elif expect == "kb rules" and line.startswith("context"):
-            raise ParseError("expected 'br' section", line=lineno)
         elif expect == "kb rules" and line == "br":
             expect, rules = "br rules", br
-        elif expect.endswith("rules") and not line.startswith("context"):
-            rules.append((line, lineno))
+        elif expect == "kb rules":
+            raise ParseError("expected 'br' section", line=lineno)
         else:
             mctx = re.match(r"context\s+(\d+)$", line)
             if not mctx:
@@ -746,31 +746,42 @@ def parse_system(text: str) -> System:
     if len(sections) != n:
         raise ParseError(f"header declares {n} contexts, found {len(sections)}")
 
-    refs = {(a.context_id, a.name): a for _, alphabet, aux, _, _ in sections for a in alphabet + aux}
-    sets = asp.Singletons().fill(refs.values())  # one-atom rule fields, shared across the system
+    # a kb token resolves by its name, and a bridge literal by (c, name) or first by
+    # its canonical text "(c:name)"; a name no token can spell gets no text key
+    refs: dict[str | tuple[int, str], Atom] = {}
+    spellable: list[dict[str, Atom]] = []  # per context
+    declared: list[Atom] = []
+    for cid, alphabet, aux, _, _ in sections:
+        spellable.append(local := {})
+        declared += (atoms := alphabet + aux)
+        for a in atoms:
+            refs[cid, a.name] = a
+            if asp._spellable(a.name):
+                local[a.name] = refs[f"({cid}:{a.name})"] = a
+    sets = asp.Singletons().fill(declared)  # one-atom rule fields, shared across the system
     contexts: list[Context] = []
-    for cid, alphabet, aux, kb_lines, br_lines in sections:
-        local = {a.name: a for a in alphabet + aux}
-        kb = tuple(asp.parse_rule(stmt, local, ln, sets) for stmt, ln in asp._split_statements(kb_lines))
+    for (cid, alphabet, aux, kb_lines, br_lines), local in zip(sections, spellable):
+        kb = tuple([asp.parse_rule(stmt, local, ln, sets) for stmt, ln in asp._split_statements(kb_lines)])
         br = []
         for stmt, ln in asp._split_statements(br_lines):
             head_txt, arrow, body_txt = stmt.partition(":-")
             if not arrow:
                 raise ParseError("bridge rule needs a body", line=ln)
-            head = local.get(head_txt.strip())
+            head_txt = head_txt.strip()  # a head may be any declared name
+            head = local.get(head_txt) or next((a for a in alphabet + aux if a.name == head_txt), None)
             if head is None:
-                raise ParseError(f"bridge head {head_txt.strip()!r} not in the alphabet", line=ln)
-            body = asp.parse_rule(arrow + body_txt, refs, ln, sets)
-            br.append(BridgeRule(head, body.body_pos, body.body_neg))
+                raise ParseError(f"bridge head {head_txt!r} not in the alphabet", line=ln)
+            if ":-" in body_txt:
+                raise ParseError("rule has two ':-'", line=ln)
+            br.append(BridgeRule(head, *asp._parse_body(body_txt, refs, ln, sets)))
         contexts.append(Context(cid, tuple(alphabet), kb, tuple(br), tuple(aux)))
     return System(tuple(contexts))
 
 
 def emit_bridge_rule(b: BridgeRule) -> str:
-    body = [f"({a.context_id}:{a.name})" for a in sorted(b.body_pos)] + [
-        f"not ({a.context_id}:{a.name})" for a in sorted(b.body_neg)
-    ]
-    return f"{b.head.name} :- " + ", ".join(body) + "."
+    body = [f"({a.context_id}:{a.name})" for a in sorted(b.body_pos)]
+    body += [f"not ({a.context_id}:{a.name})" for a in sorted(b.body_neg)]
+    return f"{b.head.name} :- {', '.join(body)}."
 
 
 def _emit_sections(

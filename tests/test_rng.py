@@ -85,6 +85,76 @@ def test_empty_or_oversize_requests_raise():
         rng.integers(0, 2**32 + 1)
 
 
+def reference_key(seed: int, i: int) -> tuple[int, int]:
+    """Child ``i``'s Philox key, derived as SeedSequence derives it: the whole pool per child."""
+    h = _rng.INIT_A
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * _rng.MULT_A & _rng.M32
+        v = v * h & _rng.M32
+        return v ^ v >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = _rng.MIX_MULT_L * x - _rng.MIX_MULT_R * y & _rng.M32
+        return r ^ r >> 16
+
+    def words(x: int) -> list[int]:
+        return [x >> s & _rng.M32 for s in range(0, max(x.bit_length(), 1), 32)]
+
+    entropy = words(seed)
+    entropy += [0] * (4 - len(entropy)) + words(i)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state, hb = [], _rng.INIT_B
+    for v in pool:
+        v ^= hb
+        hb = hb * _rng.MULT_B & _rng.M32
+        v = v * hb & _rng.M32
+        state.append(v ^ v >> 16)
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def reference_words(key: tuple[int, int]):
+    """Philox 4x64-10's words under ``key``, one block at a time, as numpy's loop makes them."""
+    keys = []
+    k0, k1 = key
+    for _ in range(10):
+        keys.append((k0, k1))
+        k0, k1 = k0 + _rng.PHILOX_W0 & _rng.M64, k1 + _rng.PHILOX_W1 & _rng.M64
+    counter = 0
+    while True:
+        counter += 1
+        c0, c1, c2, c3 = counter & _rng.M64, counter >> 64 & _rng.M64, counter >> 128 & _rng.M64, counter >> 192
+        for k0, k1 in keys:
+            p0, p1 = _rng.PHILOX_M0 * c0, _rng.PHILOX_M1 * c2
+            c0, c1, c2, c3 = p1 >> 64 ^ c1 ^ k0, p1 & _rng.M64, p0 >> 64 ^ c3 ^ k1, p0 & _rng.M64
+        yield from (c0, c1, c2, c3)
+
+
+def test_spawned_keys_match_the_per_child_derivation():
+    # runs without numpy: each child's draws against the reference key's words, block by block
+    r = random.Random(3)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 9, 2**128 - 1, 2**128, 2**40 + 5, 2**200 + 7]
+    seeds += [r.randrange(2**bits) for bits in (16, 32, 33, 64, 96, 128, 129, 160, 256) for _ in range(3)]
+    for seed in seeds:
+        n = r.randrange(1, 41)
+        for i, ours in enumerate(_rng.spawn(seed, n)):
+            ref = _rng.Philox(reference_words(reference_key(seed, i)))
+            for k in range(64):
+                if k % 3 == 2:
+                    assert ours.integers(0, 2**32) == ref.integers(0, 2**32), (seed, n, i, k)
+                else:
+                    assert ours.random() == ref.random(), (seed, n, i, k)
+
+
 def test_mcsym_never_imports_numpy():
     script = textwrap.dedent(
         """
