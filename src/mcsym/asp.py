@@ -30,7 +30,7 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 from .errors import BoundExceeded, InternalError, ParseError
 from .perm import Atom, Permutation
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _REF_RE = re.compile(r"\(\s*(\d+)\s*:\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)")
 
 
@@ -140,17 +140,12 @@ def _split_statements(lines: Iterable[tuple[str, int]]) -> list[tuple[str, int]]
     return out
 
 
-def _spellable(name: str) -> bool:
-    """Whether a token can name ``name``: an ASCII identifier, as ``_NAME_RE`` reads one."""
-    return name.isidentifier() and name.isascii()
-
-
-def _parse_atom_token(tok: str, names: Mapping[str | tuple[int, str], Atom], lineno: int) -> Atom:
+def _parse_atom_token(tok: str, names: Mapping[str, Atom], lineno: int) -> Atom:
     tok = tok.strip()
-    if _NAME_RE.match(tok):
-        key: str | tuple[int, str] = tok
+    if _NAME_RE.fullmatch(tok):
+        key = tok
     elif ref := _REF_RE.fullmatch(tok):
-        key = (int(ref[1]), ref[2])
+        key = f"({int(ref[1])}:{ref[2]})"
     else:
         raise ParseError(f"invalid atom name {tok!r}", line=lineno)
     atom = names.get(key)
@@ -159,17 +154,16 @@ def _parse_atom_token(tok: str, names: Mapping[str | tuple[int, str], Atom], lin
     return atom
 
 
-def parse_rule(stmt: str, names: Mapping[str | tuple[int, str], Atom], lineno: int, sets: Singletons) -> Rule:
+def parse_rule(stmt: str, names: Mapping[str, Atom], lineno: int, sets: Singletons) -> Rule:
     """Parse one statement, without its ``.``, into a rule.
 
-    An atom is written as a plain name, which ``names`` resolves by the name,
-    or as ``(c:name)``, which it resolves by ``(c, name)``; a token ``names``
-    does not resolve is an error.  A token costs one lookup of its text as
-    written; only a miss goes through the regexes and their error messages.
-    So each text key of ``names`` must read as the regexes read it: a
-    :func:`_spellable` name, or the canonical text ``(c:name)`` of the atom
-    that ``(c, name)`` maps to.  Errors name ``lineno``.  One-atom fields
-    come from ``sets``, the caller's table.
+    An atom is written as a plain name or as ``(c:name)``, which may carry
+    spaces and leading zeros; ``names`` resolves a name by its text and a
+    reference by its canonical text ``(c:name)``, and a token it does not
+    resolve is an error.  So each key of ``names`` is an ASCII identifier or
+    such a canonical text.  A token costs one lookup of its text as written;
+    only a miss goes through the regexes and their error messages.  Errors
+    name ``lineno``.  One-atom fields come from ``sets``, the caller's table.
     """
     head_txt, _, body_txt = stmt.partition(":-")
     if ":-" in body_txt:
@@ -187,7 +181,7 @@ def parse_rule(stmt: str, names: Mapping[str | tuple[int, str], Atom], lineno: i
 
 
 def _parse_body(
-    body_txt: str, names: Mapping[str | tuple[int, str], Atom], lineno: int, sets: Singletons
+    body_txt: str, names: Mapping[str, Atom], lineno: int, sets: Singletons
 ) -> tuple[frozenset[Atom], frozenset[Atom]]:
     """The positive and negative fields of a rule body, read as :func:`parse_rule` reads it."""
     pos: set[Atom] = set()
@@ -207,8 +201,8 @@ def _parse_body(
 
 
 def parse_program(text: str, alphabet: Iterable[Atom]) -> tuple[Rule, ...]:
-    """Parse a logic program over a fixed alphabet of atoms."""
-    names = {a.name: a for a in alphabet if _spellable(a.name)}
+    """Parse a logic program over a fixed alphabet of atoms, each named by its identifier."""
+    names = {a.name: a for a in alphabet if _NAME_RE.fullmatch(a.name)}
     sets = Singletons()
     statements = _split_statements(_code_lines(text))
     return tuple(parse_rule(stmt, names, lineno, sets) for stmt, lineno in statements)

@@ -116,14 +116,11 @@ def _partition(adj: Adjacency, colours: Sequence[int]) -> Partition:
 
     Its cells start in the order of the colour values they refine.
     """
-    members: dict[int, list[int]] = {}
-    for v, c in enumerate(colours):
-        members.setdefault(c, []).append(v)
     colour = [0] * len(colours)
     cells: dict[int, list[int]] = {}
     start = 0
-    for c in sorted(members):
-        cells[start] = vs = members[c]
+    for _, vs in sorted(_cells(colours).items()):
+        cells[start] = vs
         for v in vs:
             colour[v] = start
         start += len(vs)

@@ -75,9 +75,9 @@ class TopologySpec:
             raise ParseError("need at least 3 atoms per context")
         if self.seed < 0:
             raise ParseError(f"seed must be at least 0, got {self.seed}")
-        for name in ("max_exports", "max_kb_rules", "max_body"):
-            if getattr(self, name) < 1:
-                raise ParseError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, least in zip(("max_exports", "max_kb_rules", "max_bridge_rules", "max_body"), (1, 1, 0, 1)):
+            if getattr(self, name) < least:
+                raise ParseError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not 0 <= self.pair_probability <= 1:
             raise ParseError(f"pair_probability must be in [0, 1], got {self.pair_probability}")
 

@@ -20,7 +20,7 @@ from .errors import BoundExceeded, McsymError, ParseError
 from .mcs import (_emit_sections, component_parts, emit_system, enumerate_partial_equilibria,
                   evaluate_distributed, load_system)
 from .perm import Permutation, emit_cycles, perm_sort_key
-from .sbc import default_order, extend_mcs
+from .sbc import extend_mcs
 from .autograph import emit_graph
 
 
@@ -48,8 +48,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
         max_body=args.body,
         pair_probability=args.pair_probability,
     )
-    from .mcs import emit_system
-
     _write_out(emit_system(bench_mod.generate(spec)), args.output)
     return 0
 
@@ -86,9 +84,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_break(args: argparse.Namespace) -> int:
     m = load_system(args.file)
-    order = default_order(m)
     breakers, _ = bench_mod.select_breakers(m, args.root, args.mode, args.budget)
-    extended = extend_mcs(m, breakers, order)
+    extended = extend_mcs(m, breakers)
     if args.emit_sbc:
         lines: list[str] = []
         for c_old, c_new in zip(m.contexts, extended.contexts):
@@ -219,10 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return int(args.func(args) or 0)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BoundExceeded as e:

@@ -694,34 +694,38 @@ def parse_system(text: str) -> System:
           kb
           br
 
-    An optional ``aux`` line after ``atoms`` declares auxiliary atoms.
-    ``%`` starts a comment.  kb statements are read by :func:`asp.parse_rule`,
-    and bridge bodies as its bodies are; a bridge body literal ``(c:name)``
-    resolves against every atom the file declares.  Errors name the line of
-    the file.
+    An optional ``aux`` line after ``atoms`` declares auxiliary atoms.  An
+    atom name is an ASCII identifier other than ``context``, checked on the
+    line that declares it.  A line opens a section only when its first word
+    is the keyword.  ``%`` starts a comment.  kb statements are read by
+    :func:`asp.parse_rule`, and bridge bodies as its bodies are; a bridge
+    body literal ``(c:name)`` resolves against every atom the file declares.
+    Errors name the line of the file.
     """
     # per context: its id, alphabet, aux atoms, kb lines and br lines
     sections: list[tuple[int, list[Atom], list[Atom], list, list]] = []
     expect = "mcs"
     for line, lineno in asp._code_lines(text):
+        new_context = line.startswith("context") and not line[7:8].strip()  # its first word is "context"
         # the rule lines first: they are most of a file
-        if expect == "br rules" and not line.startswith("context"):
+        if expect == "br rules" and not new_context:
             rules.append((line, lineno))
-        elif expect == "kb rules" and line != "br" and not line.startswith("context"):
+        elif expect == "kb rules" and line != "br" and not new_context:
             rules.append((line, lineno))
         elif expect == "mcs":
             mhead = re.match(r"mcs\s+(\d+)$", line)
             if not mhead:
                 raise ParseError("expected 'mcs <n>' header", line=lineno)
             n, expect = int(mhead.group(1)), "context"
-        elif expect == "atoms":
-            if not line.startswith("atoms"):
+        elif expect == "atoms" or expect == "aux" and line.split()[0] == "aux":
+            word, *names = line.split()
+            if word != expect:
                 raise ParseError("expected 'atoms ...' after context header", line=lineno)
-            alphabet.extend(Atom(cid, nm) for nm in line[len("atoms"):].split())
-            expect = "aux"
-        elif expect == "aux" and line.startswith("aux"):
-            aux.extend(Atom(cid, nm) for nm in line[len("aux"):].split())
-            expect = "kb"
+            for name in names:
+                if name == "context" or not asp._NAME_RE.fullmatch(name):
+                    raise ParseError(f"invalid atom name {name!r}", line=lineno)
+            (alphabet if word == "atoms" else aux).extend(Atom(cid, name) for name in names)
+            expect = "aux" if word == "atoms" else "kb"
         elif expect in ("aux", "kb"):
             if line != "kb":
                 raise ParseError("expected 'kb' section", line=lineno)
@@ -746,29 +750,27 @@ def parse_system(text: str) -> System:
     if len(sections) != n:
         raise ParseError(f"header declares {n} contexts, found {len(sections)}")
 
-    # a kb token resolves by its name, and a bridge literal by (c, name) or first by
-    # its canonical text "(c:name)"; a name no token can spell gets no text key
-    refs: dict[str | tuple[int, str], Atom] = {}
-    spellable: list[dict[str, Atom]] = []  # per context
+    # a kb token and a bridge head resolve by name in their context, and a
+    # bridge literal by its canonical text "(c:name)" in the whole file
+    refs: dict[str, Atom] = {}
+    local_names: list[dict[str, Atom]] = []
     declared: list[Atom] = []
     for cid, alphabet, aux, _, _ in sections:
-        spellable.append(local := {})
+        local_names.append(local := {})
         declared += (atoms := alphabet + aux)
         for a in atoms:
-            refs[cid, a.name] = a
-            if asp._spellable(a.name):
-                local[a.name] = refs[f"({cid}:{a.name})"] = a
+            local[a.name] = refs[f"({cid}:{a.name})"] = a
     sets = asp.Singletons().fill(declared)  # one-atom rule fields, shared across the system
     contexts: list[Context] = []
-    for (cid, alphabet, aux, kb_lines, br_lines), local in zip(sections, spellable):
+    for (cid, alphabet, aux, kb_lines, br_lines), local in zip(sections, local_names):
         kb = tuple([asp.parse_rule(stmt, local, ln, sets) for stmt, ln in asp._split_statements(kb_lines)])
         br = []
         for stmt, ln in asp._split_statements(br_lines):
             head_txt, arrow, body_txt = stmt.partition(":-")
             if not arrow:
                 raise ParseError("bridge rule needs a body", line=ln)
-            head_txt = head_txt.strip()  # a head may be any declared name
-            head = local.get(head_txt) or next((a for a in alphabet + aux if a.name == head_txt), None)
+            head_txt = head_txt.strip()
+            head = local.get(head_txt)
             if head is None:
                 raise ParseError(f"bridge head {head_txt!r} not in the alphabet", line=ln)
             if ":-" in body_txt:

@@ -230,13 +230,17 @@ def orbit_of_states(perms: Iterable[Permutation] | Permutation, state) -> frozen
     return frozenset(seen)
 
 
-def group_closure(gens: Iterable[Permutation], cap: int = 10**6) -> frozenset[Permutation]:
+# Elements one group closure may hold; past it the closure raises BoundExceeded.
+CLOSURE_CAP = 10**6
+
+
+def group_closure(gens: Iterable[Permutation]) -> frozenset[Permutation]:
     """Close a generator set under composition (domains united first).
 
     Dimino's method: a generator new to the group built so far extends it
     by whole cosets of that group, one per new representative, so each
     element is composed once rather than once per generator.  Raises
-    :class:`BoundExceeded` when the closure would exceed ``cap`` elements.
+    :class:`BoundExceeded` when the closure would exceed :data:`CLOSURE_CAP` elements.
     """
     gens = list(gens)
     dom = frozenset().union(*(g.domain for g in gens))
@@ -253,8 +257,8 @@ def group_closure(gens: Iterable[Permutation], cap: int = 10**6) -> frozenset[Pe
             for s in used:
                 x = compose(r, s)
                 if x not in group:
-                    if len(group) + len(sub) > cap:
-                        raise BoundExceeded(f"group closure exceeds cap of {cap}")
+                    if len(group) + len(sub) > CLOSURE_CAP:
+                        raise BoundExceeded(f"group closure exceeds cap of {CLOSURE_CAP}")
                     group.update(compose(h, x) for h in sub)
                     reps.append(x)
     return frozenset(group)
@@ -273,7 +277,7 @@ def perm_sort_key(p: Permutation) -> tuple[int, str]:
         return key
 
 
-def reduce_irredundant(gens: Iterable[Permutation], cap: int = 10**6) -> list[Permutation]:
+def reduce_irredundant(gens: Iterable[Permutation]) -> list[Permutation]:
     """A subset of ``gens`` generating the same group, from which no single
     generator can be dropped.
 
@@ -281,8 +285,8 @@ def reduce_irredundant(gens: Iterable[Permutation], cap: int = 10**6) -> list[Pe
     cover its domain and generate it; one that cannot be dropped stays so
     after later drops.  Membership is tested within the generator's support
     block (the pool members whose supports chain to its own): other blocks
-    move disjoint atoms.  ``cap`` bounds the group of one block.  The result
-    is sorted by ascending support size (ties by cycle notation).
+    move disjoint atoms.  :data:`CLOSURE_CAP` bounds the group of one block.
+    The result is sorted by ascending support size (ties by cycle notation).
     """
     order = sorted((g for g in dict.fromkeys(gens) if not g.is_identity()), key=perm_sort_key, reverse=True)
     cover = Counter(a for g in order for a in g.domain)
@@ -301,12 +305,12 @@ def reduce_irredundant(gens: Iterable[Permutation], cap: int = 10**6) -> list[Pe
             state[g] = (kept, narrow, later, group)
             if narrow not in group:
                 later = later + [narrow]
-                group = group_closure(later, cap=cap)
+                group = group_closure(later)
     out = []
     for g in order:
         kept, narrow, later, group = state[g]
         if all(cover[a] > 1 for a in g.domain) and (
-            narrow in group or narrow in group_closure(_chained(narrow, kept + later), cap=cap)
+            narrow in group or narrow in group_closure(_chained(narrow, kept + later))
         ):
             cover.subtract(g.domain)
         else:

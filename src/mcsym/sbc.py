@@ -178,7 +178,7 @@ class ContextAdditions:
 
 
 def encode_asp(
-    m: System, pi: Permutation, order: AtomOrder, tag: str, sets: Singletons | None = None
+    m: System, pi: Permutation, order: AtomOrder, tag: str, sets: Singletons
 ) -> dict[int, ContextAdditions]:
     """The distributed ASP encoding of ``pi``'s permutation constraint.
 
@@ -187,10 +187,8 @@ def encode_asp(
     imported chain link.  A piece copies each source atom it reads once; a
     second source of the same name, from another context, gets the copy
     ``sbc_<tag>_p<context id>_<atom>``.  One-atom rule fields come from
-    ``sets``, the caller's table, or else from a fresh one.
+    ``sets``, the caller's table.
     """
-    if sets is None:
-        sets = Singletons()
     pc = build_pc(pi, order)
     q = len(pc.positions)
     out: dict[int, ContextAdditions] = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from unittest import mock
 
 import pytest
 
@@ -45,6 +46,7 @@ from mcsym import (
     topology_edges,
     TopologySpec,
 )
+from mcsym import perm
 from mcsym.autograph import automorphism_generators
 from mcsym.detect import exported_atoms
 
@@ -199,11 +201,12 @@ class TestGraphDetectionMatchesDefinition:
                 for vp in automorphism_generators(gap.graph)
             ]
             nonid = [g for g in gens if not g.is_identity()]
-            literal = (
-                group_closure((g.extend(dom) for g in nonid), cap=100_000)
-                if nonid
-                else frozenset({Permutation.identity(dom)})
-            )
+            with mock.patch.object(perm, "CLOSURE_CAP", 100_000):
+                literal = (
+                    group_closure(g.extend(dom) for g in nonid)
+                    if nonid
+                    else frozenset({Permutation.identity(dom)})
+                )
             assert literal == brute
         assert fully_occurring >= 80
 

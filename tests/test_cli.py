@@ -108,6 +108,12 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_bridge_rules_may_be_0_but_not_negative(self, capsys):
+        argv = ["gen", "--topology", "house", "--n", "9", "--seed", "2", "--bridge-rules"]
+        assert main(argv + ["-4"]) == 2
+        assert capsys.readouterr().err == "error: max_bridge_rules must be at least 0, got -4\n"
+        assert main(argv + ["0"]) == 0
+
     def test_negative_bench_seed_exits_2(self, capsys):
         assert main(["bench", "--topology", "ring", "--n", "3", "--seeds", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from mcsym import parse_system
+from mcsym import emit_system, parse_system
 from mcsym.asp import EMPTY, Rule
 from mcsym.errors import ParseError
 from mcsym.mcs import BridgeRule, Context, System
@@ -77,14 +77,28 @@ def test_spellings_parse_to_the_system(text, want):
     "text, message",
     [
         pytest.param("mcs 2\ncontext 1\n  atoms a b-c\n  kb\n    a :- b-c.\n  br\n" + TAIL,
-                     "line 5: invalid atom name 'b-c'", id="declared-non-identifier-in-kb"),
+                     "line 3: invalid atom name 'b-c'", id="declared-non-identifier-in-kb"),
         pytest.param("mcs 1\ncontext 1\n  atoms a 1x\n  kb\n    1x.\n  br\n",
-                     "line 5: invalid atom name '1x'", id="declared-non-identifier-as-head"),
+                     "line 3: invalid atom name '1x'", id="declared-non-identifier-as-head"),
         pytest.param("mcs 1\ncontext 1\n  atoms a é\n  kb\n    a :- é.\n  br\n",
-                     "line 5: invalid atom name 'é'", id="declared-non-ascii-name"),
+                     "line 3: invalid atom name 'é'", id="declared-non-ascii-name"),
         pytest.param("mcs 2\ncontext 1\n  atoms a\n  kb\n  br\n    a :- (2:d-e).\n"
                      "context 2\n  atoms d-e\n  kb\n  br\n",
-                     "line 6: invalid atom name '(2:d-e)'", id="declared-non-identifier-in-bridge"),
+                     "line 8: invalid atom name 'd-e'", id="declared-non-identifier-in-bridge"),
+        pytest.param("mcs 2\ncontext 1\n  atoms a-b\n  kb\n  br\n    a-b :- (2:d).\n" + TAIL,
+                     "line 3: invalid atom name 'a-b'", id="declared-non-identifier-bridge-head"),
+        pytest.param("mcs 1\ncontext 1\n  atoms a\n  aux x (1:a)\n  kb\n  br\n",
+                     "line 4: invalid atom name '(1:a)'", id="declared-non-identifier-aux"),
+        pytest.param("mcs 1\ncontext 1\n  atoms a context\n  kb\n  br\n",
+                     "line 3: invalid atom name 'context'", id="atom-named-context"),
+        pytest.param("mcs 1\ncontext 1\n  atoms a\n  aux context\n  kb\n  br\n",
+                     "line 4: invalid atom name 'context'", id="aux-atom-named-context"),
+        pytest.param("mcs 1\ncontext 1\n  atomsa b\n  kb\n  br\n",
+                     "line 3: expected 'atoms ...' after context header", id="atoms-keyword-run-on"),
+        pytest.param("mcs 1\ncontext 1\n  atoms a\n  auxiliary x\n  kb\n  br\n",
+                     "line 4: expected 'kb' section", id="aux-keyword-run-on"),
+        pytest.param(HEAD + "    a.\n  br\n  context\n" + TAIL,
+                     "line 7: expected 'context <id>', got 'context'", id="context-without-an-id"),
         pytest.param(HEAD + "  br\n    a :- d.\n" + TAIL,
                      "line 6: atom 'd' not in the alphabet", id="bare-foreign-name-in-bridge"),
         pytest.param(HEAD + "  br\n    a :- b.\n" + TAIL,
@@ -126,11 +140,6 @@ def test_spellings_raise_the_error(text, message):
     assert err.value.line == int(message.split()[1].rstrip(":"))
 
 
-def test_a_declared_non_identifier_bridge_head_is_read():
-    m = parse_system("mcs 2\ncontext 1\n  atoms a-b\n  kb\n  br\n    a-b :- (2:d).\n" + TAIL)
-    assert m.context(1).br == (bridge(Atom(1, "a-b"), [D]),)
-
-
 def test_a_repeated_body_atom_reads_the_shared_field():
     m = parse_system(HEAD + "    a :- b, b.\n    b.\n  br\n    a :- (2:d), not (2:d), (2:d).\n"
                      "    b :- (2:d).\n" + TAIL)
@@ -150,3 +159,41 @@ def test_references_keep_contexts_apart_when_names_repeat():
     assert m.context(1).br == (bridge(b1, [a2], [a3]),)
     assert m.context(2).br == (bridge(a2, [a3]),)
     assert m.context(3).kb == (r([a3], [b3]),)
+
+
+def test_a_rule_whose_first_word_starts_with_context_stays_in_its_section():
+    m = parse_system(
+        "mcs 2\ncontext 1\n  atoms a context_a contexts\n  kb\n    context_a :- a.\n  br\n"
+        "    context_a :- (2:d).\n    contexts :- (2:e).\ncontext\t2\n  atoms d e\n  kb\n  br\n"
+    )
+    ca, cs = Atom(1, "context_a"), Atom(1, "contexts")
+    assert m.context(1).kb == (r([ca], [A]),)
+    assert m.context(1).br == (bridge(ca, [D]), bridge(cs, [E]))
+    assert m.context(2).alphabet == (D, E)
+
+
+def test_an_empty_atoms_line_declares_no_atoms():
+    m = parse_system("mcs 1\ncontext 1\n  atoms\n  kb\n  br\n")
+    assert m == System((Context(1, (), (), ()),))
+
+
+def test_keyword_like_names_round_trip():
+    names = ("context_a", "atomsx", "aux1", "kb", "br", "not")
+    one = {nm: Atom(1, nm) for nm in names}
+    two = {nm: Atom(2, nm) for nm in names}
+    kb = (
+        r([one["kb"]], [one["br"]], [one["not"]]),
+        r([one["context_a"], one["atomsx"]]),
+        r([one["not"]], neg=[one["kb"]]),
+        r(pos=[one["br"]], neg=[one["aux1"]]),
+    )
+    br = (
+        bridge(one["context_a"], [two["context_a"]], [two["not"]]),
+        bridge(one["br"], [two["br"], two["kb"]]),
+        bridge(one["aux1"], neg=[two["aux1"]]),
+    )
+    m = System((
+        Context(1, tuple(one[nm] for nm in names if nm != "aux1"), kb, br, (one["aux1"],)),
+        Context(2, tuple(two.values()), (r([two["kb"]], neg=[two["br"]]),), (bridge(two["not"], [one["atomsx"]]),)),
+    ))
+    assert parse_system(emit_system(m)) == m

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -219,12 +220,13 @@ class TestClosureAndGenerators:
     def test_reduce_empty(self):
         assert reduce_irredundant([]) == []
 
-    def test_reduce_product_beyond_cap(self):
+    def test_reduce_product_beyond_cap(self, monkeypatch):
         # 12 disjoint swaps generate 4096 elements, but each swap is a block
         # of its own, so no closure exceeds 2 elements
         atoms = [Atom(1, f"p{i}") for i in range(24)]
         swaps = [perm({x: y, y: x}, atoms) for x, y in zip(atoms[::2], atoms[1::2])]
-        assert reduce_irredundant(swaps, cap=1000) == sorted(swaps, key=perm_sort_key)
+        monkeypatch.setattr(perm_module, "CLOSURE_CAP", 1000)
+        assert reduce_irredundant(swaps) == sorted(swaps, key=perm_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +277,8 @@ def test_join_sets_is_commutative(ps, qs):
 
 @given(st.lists(perms(), max_size=3))
 def test_closure_is_a_group(gens):
-    grp = group_closure(gens, cap=10**5)
+    with mock.patch.object(perm_module, "CLOSURE_CAP", 10**5):
+        grp = group_closure(gens)
     assert any(p.is_identity() for p in grp)
     elems = list(grp)
     for p in elems[:5]:
@@ -288,13 +291,14 @@ def test_closure_is_a_group(gens):
 def test_reduce_irredundant_properties(gens):
     # compare groups by their cycle structure: fixed points of the ambient
     # domain are group-theoretically irrelevant
-    reduced = reduce_irredundant(gens, cap=10**5)
-    grp = group_closure(gens, cap=10**5)
-    assert cyc(group_closure(reduced, cap=10**5)) == cyc(grp)
-    assert 2 ** len(reduced) <= len(grp)
-    for i in range(len(reduced)):
-        rest = reduced[:i] + reduced[i + 1 :]
-        assert cyc(group_closure(rest, cap=10**5)) != cyc(grp)
+    with mock.patch.object(perm_module, "CLOSURE_CAP", 10**5):
+        reduced = reduce_irredundant(gens)
+        grp = group_closure(gens)
+        assert cyc(group_closure(reduced)) == cyc(grp)
+        assert 2 ** len(reduced) <= len(grp)
+        for i in range(len(reduced)):
+            rest = reduced[:i] + reduced[i + 1 :]
+            assert cyc(group_closure(rest)) != cyc(grp)
 
 
 @given(perms())
@@ -372,10 +376,11 @@ def test_group_closure_matches_reference(gens, cap):
     try:
         want = reference_group_closure(gens, cap=cap)
     except BoundExceeded:
-        with pytest.raises(BoundExceeded):
-            group_closure(gens, cap=cap)
+        with mock.patch.object(perm_module, "CLOSURE_CAP", cap), pytest.raises(BoundExceeded):
+            group_closure(gens)
         return
-    assert group_closure(gens, cap=cap) == want
+    with mock.patch.object(perm_module, "CLOSURE_CAP", cap):
+        assert group_closure(gens) == want
 
 
 @settings(max_examples=200)
@@ -385,7 +390,8 @@ def test_reduce_irredundant_matches_reference(gens, cap):
         want = reference_reduce_irredundant(gens, cap=cap)
     except BoundExceeded:
         return
-    assert reduce_irredundant(gens, cap=cap) == want
+    with mock.patch.object(perm_module, "CLOSURE_CAP", cap):
+        assert reduce_irredundant(gens) == want
 
 
 # ---------------------------------------------------------------------------

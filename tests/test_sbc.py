@@ -35,6 +35,7 @@ from mcsym import (
     System,
     vec,
 )
+from mcsym.asp import Singletons
 
 from helpers import atoms_of, state_of
 
@@ -180,7 +181,7 @@ class TestDistribute:
 class TestEncode:
     def test_example_additions(self, example1, order, abde):
         a, b, d, e = atoms_of(example1, "a", "b", "d", "e")
-        out = encode_asp(example1, abde, order, "t")
+        out = encode_asp(example1, abde, order, "t", Singletons())
         assert set(out) == {1, 2}
 
         c2 = Atom(1, "sbc_t_c2")
@@ -212,14 +213,14 @@ class TestEncode:
 
     def test_single_context_permutation_needs_no_bridges(self, example1, order):
         a, b = atoms_of(example1, "a", "b")
-        out = encode_asp(example1, Permutation({a: b, b: a}), order, "t")
+        out = encode_asp(example1, Permutation({a: b, b: a}), order, "t", Singletons())
         assert set(out) == {1}
         assert out[1].aux == [Atom(1, "sbc_t_c2")]
         assert out[1].kb == [rule(pos=[a], neg=[b]), rule(pos=[Atom(1, "sbc_t_c2")])]
         assert out[1].br == []
 
     def test_identity_encodes_to_nothing(self, example1, order):
-        assert encode_asp(example1, Permutation({}), order, "t") == {}
+        assert encode_asp(example1, Permutation({}), order, "t", Singletons()) == {}
 
 
 class TestExtend:
