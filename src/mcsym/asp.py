@@ -31,7 +31,7 @@ from .errors import BoundExceeded, InternalError, ParseError
 from .perm import Atom, Permutation
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_REF_RE = re.compile(r"\(\s*(\d+)\s*:\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)")
+_REF_RE = re.compile(r"\(\s*([0-9]+)\s*:\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)")
 
 
 # the one empty field of every rule a builder makes

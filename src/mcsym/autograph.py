@@ -15,6 +15,7 @@ together generate the full automorphism group.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import permutations, product
@@ -257,15 +258,18 @@ def emit_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a number field of the dump; ``int`` alone also reads ``+1``, ``1_0`` and ``١``
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
 def parse_graph(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("graph "):
         raise ParseError("expected 'graph <V> <E> <C>' header")
-    try:
-        _, v_s, e_s, c_s = lines[0].split()
-        n, e_count, c_count = int(v_s), int(e_s), int(c_s)
-    except ValueError:
-        raise ParseError("malformed graph header") from None
+    head = lines[0].split()
+    if len(head) != 4 or not all(map(_INT_RE.fullmatch, head[1:])):
+        raise ParseError("malformed graph header")
+    n, e_count, c_count = map(int, head[1:])
     if n < 0:
         raise ParseError(f"negative vertex count {n}")
     colours: list[int | None] = [None] * n
@@ -274,10 +278,9 @@ def parse_graph(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 3 or parts[0] not in ("c", "e"):
             raise ParseError(f"unrecognized line {ln!r}")
-        try:
-            a, b = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"non-integer field in {ln!r}") from None
+        if not all(map(_INT_RE.fullmatch, parts[1:])):
+            raise ParseError(f"non-integer field in {ln!r}")
+        a, b = int(parts[1]), int(parts[2])
         if parts[0] == "e":
             edges.add((a, b))
         elif not 0 <= a < n:

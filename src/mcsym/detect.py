@@ -16,11 +16,11 @@ context's local set in once, as the solver's depth-first walk leaves it.  The
 service keeps the message protocol of separate reasoners on the same walk:
 each request names the contexts already asked within the same outside request
 and is forwarded to every import neighbour not yet asked, so each reachable
-context is asked once; each node computes its local set once, and a reply
-that would exceed the message cap degrades to irredundant generators, which
-the receiver closes back to the group before joining.  Requests are handled
-in the caller, one after another, and the message log keeps the newest
-:data:`LOG_LINES` lines, rendering replies in cycle notation only when read.
+context is asked once; each node computes its local set once.  The parent
+joins a node's set, a group, as it is, and only the reply on the wire
+degrades to irredundant generators past the message cap.  Requests are
+handled in the caller, one after another, and the message log keeps whole
+entries for its newest :data:`LOG_LINES` lines, rendering replies when read.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import InternalError, ParseError
@@ -184,13 +185,13 @@ class PermSet:
     complete: bool = True
 
 
-def _size(entry: tuple[str, ...] | PermSet) -> int:
-    return len(entry) if isinstance(entry, tuple) else 1 + len(entry.perms)
+def _size(entry: str | PermSet) -> int:
+    return 1 if isinstance(entry, str) else 1 + len(entry.perms)
 
 
-def _lines(entry: tuple[str, ...] | PermSet) -> Iterable[str]:
-    if isinstance(entry, tuple):
-        return entry
+def _lines(entry: str | PermSet) -> Iterable[str]:
+    if isinstance(entry, str):
+        return (entry,)
     head = f"PERMSET {len(entry.perms)}" + ("" if entry.complete else " generators")
     return [head, *sorted(emit_cycles(p) or "()" for p in entry.perms)]
 
@@ -198,34 +199,28 @@ def _lines(entry: tuple[str, ...] | PermSet) -> Iterable[str]:
 class _MessageLog:
     """The newest ``limit`` lines of the wire form, rendered when read.
 
-    An entry is a tuple of lines or a reply, which stands for its header line
-    and its permutations in sorted cycle notation.  A reply that the limit
-    cuts is rendered then, and only its newest lines are kept.
+    An entry is a request line or a reply, which stands for its header line
+    and its sorted cycle lines.  Whole entries are kept, at most ``limit``
+    lines plus the one entry the limit cuts, whose cut head reading skips.
     """
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
-        self._entries: deque[tuple[str, ...] | PermSet] = deque()
-        self._len = 0
+        self._entries: deque[str | PermSet] = deque()
+        self._len = 0  # lines of the kept entries, the cut head included
 
     def __len__(self) -> int:
-        return self._len
+        return min(self._len, self.limit)
 
     def __iter__(self) -> Iterator[str]:
-        for entry in self._entries:
-            yield from _lines(entry)
+        lines = (line for entry in self._entries for line in _lines(entry))
+        return islice(lines, self._len - len(self), None)
 
-    def append(self, entry: tuple[str, ...] | PermSet) -> None:
+    def append(self, entry: str | PermSet) -> None:
         self._entries.append(entry)
         self._len += _size(entry)
-        excess = self._len - self.limit
-        while excess > 0:
-            old = self._entries.popleft()
-            size = _size(old)
-            if size > excess:
-                self._entries.appendleft(tuple(_lines(old))[excess:])
-            excess -= size
-        self._len = min(self._len, self.limit)
+        while self._entries and self._len - _size(self._entries[0]) >= self.limit:
+            self._len -= _size(self._entries.popleft())
 
 
 class DetectionService:
@@ -237,12 +232,12 @@ class DetectionService:
     forwards ``DSD i H`` to each neighbour ``i`` not yet in ``H`` and answers
     with a ``PERMSET``, so one outside request asks every context it reaches
     exactly once, ``k`` even when ``visited`` holds it.  Each node computes
-    its local set once and serves later requests from it.  A nontrivial
-    reply larger than ``message_cap`` degrades to an irredundant generating
-    subset, which the receiving node closes back to the group before joining;
-    a negative cap raises :class:`ParseError`.  The message log yields the
-    line-delimited wire form of each exchange, the newest :data:`LOG_LINES`
-    lines; it keeps the replies themselves and renders them only when read.
+    its local set once and serves later requests from it.  The node asking
+    joins a node's set, a group, as it is, before the reply is built, which
+    past ``message_cap`` degrades to an irredundant generating subset (a
+    negative cap raises :class:`ParseError`).  The message log yields the
+    newest :data:`LOG_LINES` lines of the wire form, rendering replies when
+    read.
     """
 
     def __init__(self, m: System, mode: str = "shared", message_cap: int = 4096) -> None:
@@ -262,25 +257,25 @@ class DetectionService:
 
     def request(self, k: int, visited: frozenset[int] = frozenset()) -> PermSet:
         """Send one detection request to node ``k`` and return its reply."""
+        self.m.context(k)  # an unknown root raises before anything is sent
         # a node is asked as the walk enters it and replies as the walk leaves
         # it; a stack holds each open request's set so far
         asked = set(visited)
         opened: list[frozenset[Permutation]] = []
         for i, entered in _walk(self.m, k, asked):
             if entered:
-                self.log.append((f"DSD {i} H={','.join(map(str, sorted(asked))) or '-'}",))
+                self.log.append(f"DSD {i} H={','.join(map(str, sorted(asked))) or '-'}")
                 self.requests[i] += 1
                 if i not in self._local:
                     self._local[i] = lsd(self.m, i, mode=self.mode)
                 opened.append(self._local[i])
                 continue
             perms = opened.pop()
+            if opened:
+                opened[-1] = join_sets(opened[-1], perms)
             reply = PermSet(perms)
             # the identity alone has no generators to carry its domain
             if len(perms) > max(self.message_cap, 1):
                 reply = PermSet(frozenset(reduce_irredundant(perms)), complete=False)
             self.log.append(reply)
-            if opened:
-                got = reply.perms if reply.complete else group_closure(reply.perms)
-                opened[-1] = join_sets(opened[-1], got)
         return reply

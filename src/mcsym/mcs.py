@@ -713,7 +713,7 @@ def parse_system(text: str) -> System:
         elif expect == "kb rules" and line != "br" and not new_context:
             rules.append((line, lineno))
         elif expect == "mcs":
-            mhead = re.match(r"mcs\s+(\d+)$", line)
+            mhead = re.match(r"mcs\s+([0-9]+)$", line)
             if not mhead:
                 raise ParseError("expected 'mcs <n>' header", line=lineno)
             n, expect = int(mhead.group(1)), "context"
@@ -735,7 +735,7 @@ def parse_system(text: str) -> System:
         elif expect == "kb rules":
             raise ParseError("expected 'br' section", line=lineno)
         else:
-            mctx = re.match(r"context\s+(\d+)$", line)
+            mctx = re.match(r"context\s+([0-9]+)$", line)
             if not mctx:
                 raise ParseError(f"expected 'context <id>', got {line!r}", line=lineno)
             cid, alphabet, aux, kb, br = int(mctx.group(1)), [], [], [], []

@@ -166,10 +166,15 @@ class TestFormat:
             "graph 2 0 2\nc 0 0\nc 0 1\nc 1 0\n",
             "graph 2 1 1\nc 0 0\nc 1 0\ne 0 y\n",
             "graph -1 0 0\n",
+            "graph 2 0 1\nc 0 0\nc \u0661 0\n",
+            "graph \u0662 0 1\nc 0 0\nc 1 0\n",
+            "graph 2 0 1\nc 0 0\nc 1 0_0\n",
+            "graph 2 0 1\nc 0 0\nc +1 0\n",
         ],
         ids=[
             "uncoloured", "negative", "out-of-range", "non-integer", "coloured-twice",
-            "edge-non-integer", "negative-vertex-count",
+            "edge-non-integer", "negative-vertex-count", "arabic-indic-vertex",
+            "arabic-indic-header", "underscore-in-a-colour", "plus-signed-vertex",
         ],
     )
     def test_rejects_bad_vertex_lines(self, text):

@@ -193,8 +193,9 @@ class TestDetect:
         captured = capsys.readouterr()
         assert "exceeds cap of 100" in captured.err and captured.out == ""
 
-    def test_unknown_root_exits_4(self, example1_path, capsys):
-        assert main(["detect", str(example1_path), "--root", "9"]) == 4
+    @pytest.mark.parametrize("extra", [[], ["--service"]], ids=["dsd", "service"])
+    def test_unknown_root_exits_4(self, example1_path, capsys, extra):
+        assert main(["detect", str(example1_path), "--root", "9", *extra]) == 4
         assert "internal error" in capsys.readouterr().err
 
 

@@ -25,11 +25,12 @@ from mcsym import (
     join_sets,
     lsd,
     parse_system,
+    reduce_irredundant,
     rule,
 )
 from mcsym.autograph import automorphism_generators
 from mcsym import detect, perm
-from mcsym.detect import DetectionService, exported_atoms
+from mcsym.detect import DetectionService, PermSet, exported_atoms
 
 from helpers import atoms_of, chain_system, cyc, random_system
 
@@ -287,7 +288,11 @@ class TestService:
         assert cyc(group_closure(got.perms)) == FOUR
 
     def test_degraded_replies_generate_the_dsd_group(self):
-        # one outside request asks each context it reaches exactly once
+        # one outside request asks each context it reaches exactly once, and
+        # every reply, not only the root's, generates the uncapped reply
+        def replies(svc: DetectionService) -> list[PermSet]:
+            return [entry for entry in svc.log._entries if isinstance(entry, PermSet)]
+
         rng = random.Random(2024)
         cases = []
         for _ in range(40):
@@ -295,13 +300,31 @@ class TestService:
             cases.extend((m, k) for k in m.ids)
         cases.append((generate(TopologySpec("diamond", 10, 0)), 1))
         for m, k in cases:
-            want = dsd(m, k)
+            uncapped = DetectionService(m, message_cap=10**9)
+            assert uncapped.request(k).perms == dsd(m, k)
+            want = [reply.perms for reply in replies(uncapped)]
+            assert len(want) == len(import_closure(m, k))
             for message_cap in (0, 1, 2, 4):
                 svc = DetectionService(m, message_cap=message_cap)
-                got = svc.request(k)
-                perms = got.perms if got.complete else group_closure(got.perms)
-                assert perms == want, (k, message_cap)
+                svc.request(k)
+                got = [r.perms if r.complete else group_closure(r.perms) for r in replies(svc)]
+                assert got == want, (k, message_cap)
                 assert sum(svc.requests.values()) == len(import_closure(m, k)), (k, message_cap)
+
+    def test_a_join_past_the_cap_raises_before_the_set_is_reduced(self, monkeypatch):
+        # the node asking joins a child's set before the child's reply is built
+        m = generate(TopologySpec("ring", 8, 0, pair_probability=1))
+        monkeypatch.setattr(perm, "JOIN_CAP", 100)
+        sizes = []
+
+        def spy(perms):
+            sizes.append(len(perms))
+            return reduce_irredundant(perms)
+
+        monkeypatch.setattr(detect, "reduce_irredundant", spy)
+        with pytest.raises(BoundExceeded, match="exceeds cap of 100"):
+            DetectionService(m, message_cap=4).request(1)
+        assert sizes == [8, 16, 32]
 
     def test_visited_root_is_still_asked(self, example1):
         # the root is asked even when ``visited`` names it, and H says so

@@ -131,6 +131,12 @@ def test_spellings_parse_to_the_system(text, want):
                      "line 5: rule not terminated by '.'", id="unterminated"),
         pytest.param(HEAD + "  br\n    br\n    a :- (2:d).\n" + TAIL,
                      "line 6: bridge head 'br a' not in the alphabet", id="second-br-line"),
+        pytest.param("mcs \uff12\ncontext 1\n  atoms a\n  kb\n  br\ncontext 2\n  atoms d\n  kb\n  br\n",
+                     "line 1: expected 'mcs <n>' header", id="fullwidth-digit-in-the-mcs-header"),
+        pytest.param("mcs 1\ncontext \u0661\n  atoms a\n  kb\n  br\n",
+                     "line 2: expected 'context <id>', got 'context \u0661'", id="arabic-indic-context-id"),
+        pytest.param(HEAD + "  br\n    a :- (\uff12:d).\n" + TAIL,
+                     "line 6: invalid atom name '(\uff12:d)'", id="fullwidth-digit-in-a-reference"),
     ],
 )
 def test_spellings_raise_the_error(text, message):
