@@ -116,8 +116,8 @@ class Context:
         """In(k): the contexts whose belief sets the bridge rules query."""
         return frozenset(a.context_id for b in self.br for a in b.body_pos | b.body_neg)
 
-    @cached_property
-    def _occurring(self) -> frozenset[Atom]:
+    def occurring(self) -> frozenset[Atom]:
+        """Atoms mentioned anywhere in this context's rules (foreign included)."""
         # filled in place: a union over the rules' atoms() would hold a set per rule at once
         out: set[Atom] = set()
         for r in self.kb:
@@ -126,10 +126,6 @@ class Context:
             out.add(b.head)
             out.update(b.body_pos, b.body_neg)
         return frozenset(out)
-
-    def occurring(self) -> frozenset[Atom]:
-        """Atoms mentioned anywhere in this context's rules (foreign included)."""
-        return self._occurring  # derived once, like ``atoms``; kept a method for its callers
 
 
 @dataclass(frozen=True)
@@ -348,12 +344,12 @@ def _equilibrium_on(m: System, state: BeliefState, ids: frozenset[int]) -> bool:
 # enumeration (reference oracle)
 
 
-def _candidate_atoms(ctx: Context, bound: int) -> list[Atom]:
+def _candidate_atoms(ctx: Context, bound: int) -> frozenset[Atom]:
     """Atoms of ``ctx`` that any rule could make true: its occurring originals.
 
     Raises :class:`BoundExceeded` if there are more than ``bound``.
     """
-    cand = sorted(ctx.occurring() & ctx.original)
+    cand = ctx.occurring() & ctx.original
     if len(cand) > bound:
         raise BoundExceeded(f"context {ctx.id} has {len(cand)} candidate atoms (bound {bound})")
     return cand
@@ -410,7 +406,7 @@ def enumerate_partial_equilibria(
     ids = sorted(import_closure(m, k)) if k is not None else list(m.ids)
     pools: list[list[frozenset[Atom]]] = []
     for i in ids:
-        cand = _candidate_atoms(m.context(i), bound)
+        cand = sorted(_candidate_atoms(m.context(i), bound))
         pools.append([frozenset(sub) for r in range(len(cand) + 1) for sub in combinations(cand, r)])
     strata = _aux_program(m, ids)
     out = []
@@ -676,6 +672,8 @@ def _rule_image(r: Rule, mp: dict[Atom, Atom]) -> Rule:
 # ---------------------------------------------------------------------------
 # textual format
 
+_BLANKS = re.compile(r"[ \t]+")  # what separates the words of a header, atoms or aux line
+
 
 def parse_system(text: str) -> System:
     """Parse the system file format.
@@ -697,10 +695,11 @@ def parse_system(text: str) -> System:
     An optional ``aux`` line after ``atoms`` declares auxiliary atoms.  An
     atom name is an ASCII identifier other than ``context``, checked on the
     line that declares it.  A line opens a section only when its first word
-    is the keyword.  ``%`` starts a comment.  kb statements are read by
-    :func:`asp.parse_rule`, and bridge bodies as its bodies are; a bridge
-    body literal ``(c:name)`` resolves against every atom the file declares.
-    Errors name the line of the file.
+    is the keyword; the words of a header, ``atoms`` or ``aux`` line are
+    separated by ASCII spaces and tabs.  ``%`` starts a comment.  kb
+    statements are read by :func:`asp.parse_rule`, and bridge bodies as its
+    bodies are; a bridge body literal ``(c:name)`` resolves against every
+    atom the file declares.  Errors name the line of the file.
     """
     # per context: its id, alphabet, aux atoms, kb lines and br lines
     sections: list[tuple[int, list[Atom], list[Atom], list, list]] = []
@@ -713,12 +712,12 @@ def parse_system(text: str) -> System:
         elif expect == "kb rules" and line != "br" and not new_context:
             rules.append((line, lineno))
         elif expect == "mcs":
-            mhead = re.match(r"mcs\s+([0-9]+)$", line)
+            mhead = re.match(r"mcs[ \t]+([0-9]+)$", line)
             if not mhead:
                 raise ParseError("expected 'mcs <n>' header", line=lineno)
             n, expect = int(mhead.group(1)), "context"
-        elif expect == "atoms" or expect == "aux" and line.split()[0] == "aux":
-            word, *names = line.split()
+        elif expect == "atoms" or expect == "aux" and _BLANKS.split(line, 1)[0] == "aux":
+            word, *names = _BLANKS.split(line)
             if word != expect:
                 raise ParseError("expected 'atoms ...' after context header", line=lineno)
             for name in names:
@@ -735,7 +734,7 @@ def parse_system(text: str) -> System:
         elif expect == "kb rules":
             raise ParseError("expected 'br' section", line=lineno)
         else:
-            mctx = re.match(r"context\s+([0-9]+)$", line)
+            mctx = re.match(r"context[ \t]+([0-9]+)$", line)
             if not mctx:
                 raise ParseError(f"expected 'context <id>', got {line!r}", line=lineno)
             cid, alphabet, aux, kb, br = int(mctx.group(1)), [], [], [], []

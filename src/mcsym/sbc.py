@@ -19,9 +19,22 @@ rules into primed copies.  Each context's piece keeps one copy per source
 atom, with one bridge rule: it is named after the source alone unless a
 same-named source of another context already holds that name in the piece,
 when it is qualified with its source's context id (only an order that
-interleaves contexts puts two foreign contexts in one piece).  All added
-atoms are auxiliary: the rewritten system's acceptability splits them off,
-and projecting them away is a bijection onto the surviving original states.
+interleaves contexts puts two foreign contexts in one piece).
+
+A rewrite with several constraints builds each added atom once.  ``c_i``
+is a function of positions ``i-1`` and ``i`` and of ``c_{i+1}`` alone, the
+final chain atom is never derived, and a primed copy equals its source.  So
+constraints whose sequences end alike define the same chain atoms, and
+pieces in one context read the same copies.  The rewrite keeps one table of
+its added atoms, keyed by what defines them; each constraint's chain is
+looked up from its end back, and the constraint adds only the prefix not
+found there.  A shared atom keeps the name the first constraint to add it
+gave it.  Constraints that start with the same (atom, image) pair state
+their position-1 constraint once.
+
+All added atoms are auxiliary: the rewritten system's acceptability splits
+them off, and projecting them away is a bijection onto the surviving
+original states.
 """
 
 from __future__ import annotations
@@ -111,22 +124,18 @@ class PermConstraint:
 
 def build_pc(pi: Permutation, order: AtomOrder) -> PermConstraint:
     """The permutation constraint of ``pi`` over the reduced support sequence."""
-    support = sorted(pi.support, key=order.index)
-    for a in support:
-        if pi(a).context_id != a.context_id:
+    index, image = order._index, pi._map  # type: ignore[attr-defined]
+    positions: list[PcPosition] = []
+    for a in sorted(image, key=order.index):  # raises for an atom the order lacks
+        b = image[a]
+        if b.context_id != a.context_id:
             raise InternalError(
                 f"permutation moves {a.qualified()} across contexts; "
                 "cannot encode its constraint"
             )
-    reduced = [
-        a
-        for a in support
-        if not (pi(pi(a)) == a and order.index(pi(a)) < order.index(a))
-    ]
-    positions = tuple(
-        PcPosition(i + 1, a, pi(a)) for i, a in enumerate(reduced)
-    )
-    return PermConstraint(pi, positions)
+        if image[b] != a or index[a] < index[b]:  # else the order-larger atom of a 2-cycle
+            positions.append(PcPosition(len(positions) + 1, a, b))
+    return PermConstraint(pi, tuple(positions))
 
 
 @dataclass(frozen=True)
@@ -178,7 +187,7 @@ class ContextAdditions:
 
 
 def encode_asp(
-    m: System, pi: Permutation, order: AtomOrder, tag: str, sets: Singletons
+    m: System, pi: Permutation, order: AtomOrder, tag: str, sets: Singletons, table: dict
 ) -> dict[int, ContextAdditions]:
     """The distributed ASP encoding of ``pi``'s permutation constraint.
 
@@ -188,40 +197,69 @@ def encode_asp(
     second source of the same name, from another context, gets the copy
     ``sbc_<tag>_p<context id>_<atom>``.  One-atom rule fields come from
     ``sets``, the caller's table.
-    """
-    pc = build_pc(pi, order)
-    q = len(pc.positions)
-    out: dict[int, ContextAdditions] = {}
-    # chain[i] is c_i, for i from 2 to q + 1; it belongs to the owner of
-    # sequence atom i-1 (1-based)
-    chain = [None, None] + [Atom(p.atom.context_id, f"sbc_{tag}_c{p.index + 1}") for p in pc.positions]
 
-    for piece in distribute_pc(pc):
+    ``table`` holds what the constraints already encoded into the same
+    rewrite added (empty for the first), keyed by what defines it: a chain
+    atom by the (atom, image) pairs of its two positions and its next link,
+    the never-derived terminator by its context id, a primed copy by (context
+    id, source), and a position-1 constraint by itself.  What is found there
+    is not made or stated again, and an atom keeps the name its first
+    constraint gave it; since the chain is keyed from its end back, only a
+    prefix of it is new.
+    """
+    pos = build_pc(pi, order).positions
+    q = len(pos)
+    # chain[i] is c_i, for i from 2 to q + 1; it belongs to the owner of
+    # sequence atom i-1 (1-based).  c_i is new for i <= fresh: once a key is
+    # missed, every key before it holds a new atom, so it is not looked up
+    chain: list[Atom] = [None] * (q + 2)  # type: ignore[list-item]
+    fresh = 1
+    for i in range(q + 1, 1, -1):
+        prev = pos[i - 2]
+        if i > q:
+            key: object = prev.atom.context_id  # the terminator is never derived, so one per context serves
+        else:
+            key = (prev.atom, prev.image, pos[i - 1].atom, pos[i - 1].image, chain[i + 1])
+        found = table.get(key) if fresh == 1 else None
+        if found is None:
+            found = table[key] = Atom(prev.atom.context_id, f"sbc_{tag}_c{i}")
+            fresh = max(fresh, i)
+        chain[i] = found
+    made: set[Atom] = set()  # the copies this constraint names, all under ``tag``
+    out: dict[int, ContextAdditions] = {}
+
+    # the pieces of the positions up to ``fresh``, whose rules are new; the
+    # terminator they mark is new only if every chain atom is
+    for piece in distribute_pc(PermConstraint(pi, pos[:fresh])):
         k = piece.context_id
         # the chain atoms this context owns come before its primed copies
-        here = out[k] = ContextAdditions(
-            aux=[chain[p.index] for p in piece.rule_positions] + ([chain[q + 1]] if piece.terminator else [])
-        )
-        copies: dict[Atom, Atom] = {}  # a source atom read here -> its local copy
+        aux = [chain[p.index] for p in piece.rule_positions]
+        if piece.terminator and fresh > q:
+            aux.append(chain[q + 1])
+        if not (aux or piece.first):
+            continue
+        here = out[k] = ContextAdditions(aux=aux)
 
         def primed(source: Atom, name: str) -> Atom:
-            copy = copies.get(source)
+            copy = table.get((k, source))
             if copy is None:
                 copy = Atom(k, f"sbc_{tag}_{name}")
-                if copy in copies.values():  # a same-named source of another context holds it
+                if copy in made:  # a same-named source of another context holds it
                     copy = Atom(k, f"sbc_{tag}_p{source.context_id}_{source.name}")
-                copies[source] = copy
+                made.add(copy)
+                table[k, source] = copy
                 here.aux.append(copy)
                 here.br.append(BridgeRule(copy, sets[source], EMPTY))
             return copy
 
         if piece.first:
-            s1, t1 = pc.positions[0].atom, pc.positions[0].image
-            here.kb.append(Rule(EMPTY, sets[s1], sets[t1]))
-            here.kb.append(Rule(EMPTY, sets[chain[2]], EMPTY))
+            for rule in (Rule(EMPTY, sets[pos[0].atom], sets[pos[0].image]), Rule(EMPTY, sets[chain[2]], EMPTY)):
+                if rule not in table:  # a constraint that starts alike states it already
+                    table[rule] = rule
+                    here.kb.append(rule)
         for p in piece.rule_positions:
             i = p.index
-            prev = pc.positions[i - 2]
+            prev = pos[i - 2]
             head, nxt = chain[i], chain[i + 1]
             if p.atom.context_id == k:
                 cur, cur_img, link = p.atom, p.image, nxt
@@ -245,7 +283,9 @@ def extend_mcs(
     then cycle notation) under the tags ``p0, p1, ...`` that no atom of ``m``
     already uses, so a rewrite of a rewrite adds chains of its own; identities
     are skipped.  The rules of all the constraints share one table of
-    one-atom fields.
+    one-atom fields and one table of added atoms (see :func:`encode_asp`),
+    so a chain suffix or a primed copy that several constraints read is
+    defined once, under the tag of the first of them.
     """
     if order is None:
         order = default_order(m)
@@ -254,10 +294,10 @@ def extend_mcs(
         a.name.split("_", 2)[1] for c in m.contexts for a in c.alphabet + c.aux if a.name.startswith("sbc_")
     }
     tags = (tag for tag in (f"p{i}" for i in count()) if tag not in used)
-    sets = Singletons()
+    sets, table = Singletons(), {}
     merged: dict[int, list[ContextAdditions]] = {}
     for pi, tag in zip(todo, tags):
-        for cid, add in encode_asp(m, pi, order, tag, sets).items():
+        for cid, add in encode_asp(m, pi, order, tag, sets, table).items():
             merged.setdefault(cid, []).append(add)
     contexts = []
     for c in m.contexts:

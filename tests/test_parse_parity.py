@@ -137,6 +137,17 @@ def test_spellings_parse_to_the_system(text, want):
                      "line 2: expected 'context <id>', got 'context \u0661'", id="arabic-indic-context-id"),
         pytest.param(HEAD + "  br\n    a :- (\uff12:d).\n" + TAIL,
                      "line 6: invalid atom name '(\uff12:d)'", id="fullwidth-digit-in-a-reference"),
+        pytest.param("mcs\u30001\ncontext 1\n  atoms a\n  kb\n  br\n",
+                     "line 1: expected 'mcs <n>' header", id="ideographic-space-in-the-mcs-header"),
+        pytest.param("mcs 1\ncontext\u30001\n  atoms a\n  kb\n  br\n",
+                     "line 2: expected 'context <id>', got 'context\\u30001'", id="ideographic-space-in-a-context-header"),
+        pytest.param("mcs 1\ncontext 1\n  atoms\u3000a\u3000b\n  kb\n  br\n",
+                     "line 3: expected 'atoms ...' after context header", id="ideographic-spaces-in-an-atoms-line"),
+        pytest.param("mcs 1\ncontext 1\n  atoms a\n  aux\u3000b\n  kb\n  br\n",
+                     "line 4: expected 'kb' section", id="ideographic-space-in-an-aux-line"),
+        pytest.param(HEAD + "  br\n" + TAIL.replace("context 2", "context　2"),
+                     "line 6: expected 'context <id>', got 'context\\u30002'",
+                     id="ideographic-space-in-a-context-header-after-a-br-section"),
     ],
 )
 def test_spellings_raise_the_error(text, message):

@@ -35,6 +35,7 @@ from mcsym import (
     System,
     vec,
 )
+from mcsym import bench
 from mcsym.asp import Singletons
 
 from helpers import atoms_of, state_of
@@ -181,7 +182,7 @@ class TestDistribute:
 class TestEncode:
     def test_example_additions(self, example1, order, abde):
         a, b, d, e = atoms_of(example1, "a", "b", "d", "e")
-        out = encode_asp(example1, abde, order, "t", Singletons())
+        out = encode_asp(example1, abde, order, "t", Singletons(), {})
         assert set(out) == {1, 2}
 
         c2 = Atom(1, "sbc_t_c2")
@@ -213,14 +214,36 @@ class TestEncode:
 
     def test_single_context_permutation_needs_no_bridges(self, example1, order):
         a, b = atoms_of(example1, "a", "b")
-        out = encode_asp(example1, Permutation({a: b, b: a}), order, "t", Singletons())
+        out = encode_asp(example1, Permutation({a: b, b: a}), order, "t", Singletons(), {})
         assert set(out) == {1}
         assert out[1].aux == [Atom(1, "sbc_t_c2")]
         assert out[1].kb == [rule(pos=[a], neg=[b]), rule(pos=[Atom(1, "sbc_t_c2")])]
         assert out[1].br == []
 
     def test_identity_encodes_to_nothing(self, example1, order):
-        assert encode_asp(example1, Permutation({}), order, "t", Singletons()) == {}
+        assert encode_asp(example1, Permutation({}), order, "t", Singletons(), {}) == {}
+
+
+# pi = (a b)(c d)(e f) and sigma = (g h)(c d)(e f) end in the same two positions
+SHARED_SUFFIX = """mcs 2
+context 1
+  atoms a b g h
+  kb
+    a :- not b.
+    b :- not a.
+    g :- not h.
+    h :- not g.
+  br
+    a :- (2:c), (2:d).
+context 2
+  atoms c d e f
+  kb
+    c :- not d.
+    d :- not c.
+    e :- not f.
+    f :- not e.
+  br
+"""
 
 
 class TestExtend:
@@ -295,6 +318,48 @@ class TestExtend:
             state_of(example1, {1: {"b"}, 2: {"d"}}),
             state_of(example1, {1: set(), 2: {"d", "e", "g"}}),
         }
+
+    def test_breakers_that_share_a_suffix_share_its_atoms(self):
+        m = parse_system(SHARED_SUFFIX)
+        pi = parse_cycles("(1.a 1.b)(2.c 2.d)(2.e 2.f)", m.universe())
+        sigma = parse_cycles("(1.g 1.h)(2.c 2.d)(2.e 2.f)", m.universe())
+        group = group_closure([pi, sigma])  # (a b)(g h) is tagged p0, pi p1, sigma p2
+        m2 = extend_mcs(m, group)
+        # sigma's chain c2 -> c3 -> c4 ends in pi's c3 -> c4: one definition,
+        # read in context 1 through one set of primed copies
+        assert [a.name for a in m2.context(2).aux] == ["sbc_p1_c3", "sbc_p1_c4"]
+        assert len(m2.context(2).kb) == 4 + 4
+        assert [a.name for a in m2.context(1).aux] == [
+            "sbc_p0_c2", "sbc_p0_c3", "sbc_p1_c2", "sbc_p1_p_c", "sbc_p1_p_d", "sbc_p1_pc3", "sbc_p2_c2"
+        ]
+        assert [b.head.name for b in m2.context(1).br[1:]] == ["sbc_p1_p_c", "sbc_p1_p_d", "sbc_p1_pc3"]
+        sigma_rules = [r for r in m2.context(1).kb if Atom(1, "sbc_p2_c2") in r.head]
+        assert len(sigma_rules) == 4
+        assert all(r.atoms() & {Atom(1, "sbc_p1_p_c"), Atom(1, "sbc_p1_pc3")} for r in sigma_rules)
+        pe = enumerate_partial_equilibria(m, 1)
+        want = lex_leader_filter(pe, group, default_order(m))
+        assert len(pe) == 16 and len(want) == 4
+        assert solved(m2) == want
+        assert {project_original(m2, s) for s in enumerate_partial_equilibria(m2, 1)} == want
+        assert parse_system(emit_system(m2)) == m2
+
+    @pytest.mark.parametrize(
+        "topology, n, seed, sizes",
+        [("house", 13, 0, (1023, 5085, 1103, 2126)), ("diamond", 16, 1, (4095, 20439, 4215, 8310))],
+    )
+    def test_full_rewrites_build_each_shared_atom_once(self, topology, n, seed, sizes):
+        m = bench.generate(bench.TopologySpec(topology=topology, n=n, seed=seed))
+        breakers, _ = bench.select_breakers(m, 1, "full")
+        m2 = extend_mcs(m, breakers)
+
+        def added(field):
+            return sum(len(getattr(c, field)) for c in m2.contexts) - sum(len(getattr(c, field)) for c in m.contexts)
+
+        # (breakers, kb rules, bridge rules, aux atoms); one chain per breaker
+        # would add 18,434 kb rules, 12,291 bridges and 17,411 atoms to house-n13
+        assert (len(breakers), added("kb"), added("br"), added("aux")) == sizes
+        # no added rule is stated twice (diamond-n16 s1 repeats one original fact)
+        assert sum(len(set(c.kb)) for c in m2.contexts) - sum(len(set(c.kb)) for c in m.contexts) == added("kb")
 
     def test_more_constraints_never_add_states(self, example1, abde):
         sizes = [
