@@ -65,7 +65,6 @@ from .sbc import (
     AtomOrder,
     build_pc,
     default_order,
-    distribute_pc,
     encode_asp,
     extend_mcs,
     lex_leader_filter,

@@ -93,7 +93,7 @@ def cmd_break(args: argparse.Namespace) -> int:
             if any(added):
                 lines.append(f"context {c_old.id}")
                 _emit_sections(lines, *added)
-        _write_out("\n".join(lines) + "\n", args.output)
+        _write_out("".join(line + "\n" for line in lines), args.output)
     else:
         _write_out(emit_system(extended), args.output)
     return 0

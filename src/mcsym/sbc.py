@@ -13,24 +13,26 @@ constraint is implied by its partner's position, so dropping it is exact).
 Position 1 contributes two integrity constraints; every later position ``i``
 contributes four rules defining a chain atom ``c_i`` that signals "the prefix
 before ``i-1`` was tied and the comparison at ``i-1`` did not already decide".
-Rules for position ``i`` live in the context owning atom ``i-1`` of the
-sequence; atoms and chain links owned elsewhere are imported through bridge
-rules into primed copies.  Each context's piece keeps one copy per source
-atom, with one bridge rule: it is named after the source alone unless a
-same-named source of another context already holds that name in the piece,
-when it is qualified with its source's context id (only an order that
-interleaves contexts puts two foreign contexts in one piece).
+One ownership rule places everything: ``c_i`` (``i`` from 2 to ``q+1``, for a
+sequence of ``q`` atoms) and the rules of position ``i`` live in the context
+that owns atom ``i-1`` of the sequence, and position 1 in the owner of atom 1.
+Atoms and chain links owned elsewhere are imported through bridge rules into
+primed copies.  A context keeps one copy per source atom, with one bridge
+rule: it is named after the source alone unless a same-named source of
+another context already holds that name there, when it is qualified with its
+source's context id (only an order that interleaves contexts has one context
+read two others).
 
 A rewrite with several constraints builds each added atom once.  ``c_i``
 is a function of positions ``i-1`` and ``i`` and of ``c_{i+1}`` alone, the
 final chain atom is never derived, and a primed copy equals its source.  So
 constraints whose sequences end alike define the same chain atoms, and
-pieces in one context read the same copies.  The rewrite keeps one table of
-its added atoms, keyed by what defines them; each constraint's chain is
-looked up from its end back, and the constraint adds only the prefix not
-found there.  A shared atom keeps the name the first constraint to add it
-gave it.  Constraints that start with the same (atom, image) pair state
-their position-1 constraint once.
+constraints read the same copies in one context.  The rewrite keeps one
+table of its added atoms, keyed by what defines them; each constraint's
+chain is looked up from its end back, and the constraint adds only the
+prefix not found there.  A shared atom keeps the name the first
+constraint to add it gave it.  Constraints that start with the same (atom,
+image) pair state their position-1 constraint once.
 
 All added atoms are auxiliary: the rewritten system's acceptability splits
 them off, and projecting them away is a bijection onto the surviving
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .asp import EMPTY, Rule, Singletons
 from .errors import InternalError
@@ -105,25 +107,13 @@ def pc_satisfied(state: BeliefState, pi: Permutation, order: AtomOrder) -> bool:
 # constraint structure
 
 
-@dataclass(frozen=True)
-class PcPosition:
-    index: int  # 1-based position in the reduced support sequence
+class PcPosition(NamedTuple):
     atom: Atom
     image: Atom
 
 
-@dataclass(frozen=True)
-class PermConstraint:
-    pi: Permutation
-    positions: tuple[PcPosition, ...]
-
-    @property
-    def support_sequence(self) -> tuple[Atom, ...]:
-        return tuple(p.atom for p in self.positions)
-
-
-def build_pc(pi: Permutation, order: AtomOrder) -> PermConstraint:
-    """The permutation constraint of ``pi`` over the reduced support sequence."""
+def build_pc(pi: Permutation, order: AtomOrder) -> tuple[PcPosition, ...]:
+    """The positions of ``pi``'s constraint: its reduced support sequence, each atom with its image."""
     index, image = order._index, pi._map  # type: ignore[attr-defined]
     positions: list[PcPosition] = []
     for a in sorted(image, key=order.index):  # raises for an atom the order lacks
@@ -134,45 +124,8 @@ def build_pc(pi: Permutation, order: AtomOrder) -> PermConstraint:
                 "cannot encode its constraint"
             )
         if image[b] != a or index[a] < index[b]:  # else the order-larger atom of a 2-cycle
-            positions.append(PcPosition(len(positions) + 1, a, b))
-    return PermConstraint(pi, tuple(positions))
-
-
-@dataclass(frozen=True)
-class ContextPiece:
-    """The part of one permutation constraint a single context is in charge of."""
-
-    context_id: int
-    first: bool  # carries the position-1 integrity constraints
-    rule_positions: tuple[PcPosition, ...]  # positions >= 2 whose rules live here
-    terminator: bool  # declares the final (never-derived) chain atom
-
-
-def distribute_pc(pc: PermConstraint) -> tuple[ContextPiece, ...]:
-    """Assign the constraint's positions to contexts.
-
-    Position 1 and the rules of position ``i >= 2`` belong to the owner of
-    sequence atom ``i-1``; the terminating chain atom belongs to the owner of
-    the last sequence atom.
-    """
-    if not pc.positions:
-        return ()
-    by_ctx: dict[int, list[PcPosition]] = {}
-    for p in pc.positions[1:]:
-        owner = pc.positions[p.index - 2].atom.context_id
-        by_ctx.setdefault(owner, []).append(p)
-    first_owner = pc.positions[0].atom.context_id
-    last_owner = pc.positions[-1].atom.context_id
-    ids = sorted(set(by_ctx) | {first_owner, last_owner})
-    return tuple(
-        ContextPiece(
-            context_id=i,
-            first=(i == first_owner),
-            rule_positions=tuple(by_ctx.get(i, ())),
-            terminator=(i == last_owner),
-        )
-        for i in ids
-    )
+            positions.append(PcPosition(a, b))
+    return tuple(positions)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +140,13 @@ class ContextAdditions:
 
 
 def encode_asp(
-    m: System, pi: Permutation, order: AtomOrder, tag: str, sets: Singletons, table: dict
+    pi: Permutation, order: AtomOrder, tag: str, sets: Singletons, table: dict
 ) -> dict[int, ContextAdditions]:
-    """The distributed ASP encoding of ``pi``'s permutation constraint.
+    """The distributed ASP encoding of ``pi``'s permutation constraint, by owning context.
 
     Auxiliary atoms are namespaced by ``tag``: chain atoms ``sbc_<tag>_c<i>``,
     primed imports ``sbc_<tag>_p_<atom>`` and ``sbc_<tag>_pc<i>`` for an
-    imported chain link.  A piece copies each source atom it reads once; a
+    imported chain link.  A context copies each source atom it reads once; a
     second source of the same name, from another context, gets the copy
     ``sbc_<tag>_p<context id>_<atom>``.  One-atom rule fields come from
     ``sets``, the caller's table.
@@ -207,11 +160,13 @@ def encode_asp(
     constraint gave it; since the chain is keyed from its end back, only a
     prefix of it is new.
     """
-    pos = build_pc(pi, order).positions
+    pos = build_pc(pi, order)
     q = len(pos)
-    # chain[i] is c_i, for i from 2 to q + 1; it belongs to the owner of
-    # sequence atom i-1 (1-based).  c_i is new for i <= fresh: once a key is
-    # missed, every key before it holds a new atom, so it is not looked up
+    if not q:
+        return {}
+    # chain[i] is c_i, for i from 2 to q + 1.  c_i is new for i <= fresh:
+    # once a key is missed, every key before it holds a new atom, so it is
+    # not looked up
     chain: list[Atom] = [None] * (q + 2)  # type: ignore[list-item]
     fresh = 1
     for i in range(q + 1, 1, -1):
@@ -225,52 +180,44 @@ def encode_asp(
             found = table[key] = Atom(prev.atom.context_id, f"sbc_{tag}_c{i}")
             fresh = max(fresh, i)
         chain[i] = found
+    first = pos[0].atom.context_id
+    out = {first: ContextAdditions()}
+    # each context declares its new chain atoms, the terminator last, before its primed copies
+    for c in chain[2 : fresh + 1]:
+        out.setdefault(c.context_id, ContextAdditions()).aux.append(c)
+    for rule in (Rule(EMPTY, sets[pos[0].atom], sets[pos[0].image]), Rule(EMPTY, sets[chain[2]], EMPTY)):
+        if rule not in table:  # a constraint that starts alike states it already
+            table[rule] = rule
+            out[first].kb.append(rule)
     made: set[Atom] = set()  # the copies this constraint names, all under ``tag``
-    out: dict[int, ContextAdditions] = {}
 
-    # the pieces of the positions up to ``fresh``, whose rules are new; the
-    # terminator they mark is new only if every chain atom is
-    for piece in distribute_pc(PermConstraint(pi, pos[:fresh])):
-        k = piece.context_id
-        # the chain atoms this context owns come before its primed copies
-        aux = [chain[p.index] for p in piece.rule_positions]
-        if piece.terminator and fresh > q:
-            aux.append(chain[q + 1])
-        if not (aux or piece.first):
-            continue
-        here = out[k] = ContextAdditions(aux=aux)
+    def primed(k: int, source: Atom, name: str) -> Atom:
+        copy = table.get((k, source))
+        if copy is None:
+            copy = Atom(k, f"sbc_{tag}_{name}")
+            if copy in made:  # a same-named source of another context holds it
+                copy = Atom(k, f"sbc_{tag}_p{source.context_id}_{source.name}")
+            made.add(copy)
+            table[k, source] = copy
+            out[k].aux.append(copy)
+            out[k].br.append(BridgeRule(copy, sets[source], EMPTY))
+        return copy
 
-        def primed(source: Atom, name: str) -> Atom:
-            copy = table.get((k, source))
-            if copy is None:
-                copy = Atom(k, f"sbc_{tag}_{name}")
-                if copy in made:  # a same-named source of another context holds it
-                    copy = Atom(k, f"sbc_{tag}_p{source.context_id}_{source.name}")
-                made.add(copy)
-                table[k, source] = copy
-                here.aux.append(copy)
-                here.br.append(BridgeRule(copy, sets[source], EMPTY))
-            return copy
-
-        if piece.first:
-            for rule in (Rule(EMPTY, sets[pos[0].atom], sets[pos[0].image]), Rule(EMPTY, sets[chain[2]], EMPTY)):
-                if rule not in table:  # a constraint that starts alike states it already
-                    table[rule] = rule
-                    here.kb.append(rule)
-        for p in piece.rule_positions:
-            i = p.index
-            prev = pos[i - 2]
-            head, nxt = chain[i], chain[i + 1]
-            if p.atom.context_id == k:
-                cur, cur_img, link = p.atom, p.image, nxt
-            else:
-                cur, cur_img = primed(p.atom, f"p_{p.atom.name}"), primed(p.image, f"p_{p.image.name}")
-                link = primed(nxt, f"pc{i + 1}")
-            one = sets[head]
-            here.kb.append(Rule(one, frozenset({prev.atom, cur}), sets[cur_img]))
-            here.kb.append(Rule(one, sets[cur], frozenset({prev.image, cur_img})))
-            here.kb.append(Rule(one, frozenset({prev.atom, link}), EMPTY))
-            here.kb.append(Rule(one, sets[link], sets[prev.image]))
+    # the rules of the positions whose chain atoms are new
+    for i in range(2, min(fresh, q) + 1):
+        prev, p = pos[i - 2], pos[i - 1]
+        head, nxt = chain[i], chain[i + 1]
+        k = head.context_id
+        if p.atom.context_id == k:
+            cur, cur_img, link = p.atom, p.image, nxt
+        else:
+            cur, cur_img = primed(k, p.atom, f"p_{p.atom.name}"), primed(k, p.image, f"p_{p.image.name}")
+            link = primed(k, nxt, f"pc{i + 1}")
+        one, kb = sets[head], out[k].kb
+        kb.append(Rule(one, frozenset({prev.atom, cur}), sets[cur_img]))
+        kb.append(Rule(one, sets[cur], frozenset({prev.image, cur_img})))
+        kb.append(Rule(one, frozenset({prev.atom, link}), EMPTY))
+        kb.append(Rule(one, sets[link], sets[prev.image]))
     return out
 
 
@@ -297,7 +244,7 @@ def extend_mcs(
     sets, table = Singletons(), {}
     merged: dict[int, list[ContextAdditions]] = {}
     for pi, tag in zip(todo, tags):
-        for cid, add in encode_asp(m, pi, order, tag, sets, table).items():
+        for cid, add in encode_asp(pi, order, tag, sets, table).items():
             merged.setdefault(cid, []).append(add)
     contexts = []
     for c in m.contexts:

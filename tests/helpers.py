@@ -1,8 +1,9 @@
-"""Shared test helpers: cycle views, atom lookup, seeded random systems, reference refinement, completion and member order."""
+"""Shared test helpers: cycle views, atom lookup, seeded random systems, relabelling, reference refinement, completion and member order."""
 
 from __future__ import annotations
 
 import random
+import string
 from typing import Mapping, Sequence
 
 from mcsym import Atom, BridgeRule, Context, InternalError, Rule, System, emit_cycles, parse_system
@@ -289,3 +290,41 @@ def with_random_aux_layer(rng: random.Random, m: System) -> System:
         earlier += aux
         contexts.append(Context(c.id, c.alphabet, tuple(dict.fromkeys(kb)), tuple(dict.fromkeys(br)), tuple(aux)))
     return System(tuple(contexts))
+
+
+def relabel(m: System, rng: random.Random) -> tuple[System, dict[Atom, Atom]]:
+    """``m`` under new names, and the map from each declared atom to its new one.
+
+    Context ids are drawn from 1 to 999 and atom names are an ASCII letter
+    and a number, distinct within a context; each alphabet, kb and bridge
+    list is shuffled as well.  Nothing else changes, so every result on the
+    copy is the image of the same result on ``m``.
+    """
+    ids = dict(zip(m.ids, rng.sample(range(1, 1000), len(m.ids))))
+    amap: dict[Atom, Atom] = {}
+    for c in m.contexts:
+        declared = c.alphabet + c.aux
+        names: set[str] = set()
+        while len(names) < len(declared):
+            names.add(f"{rng.choice(string.ascii_letters)}{rng.randrange(100)}")
+        amap.update(zip(declared, (Atom(ids[c.id], name) for name in rng.sample(sorted(names), len(names)))))
+
+    def atoms(xs) -> frozenset[Atom]:
+        return frozenset(amap[a] for a in xs)
+
+    def shuffled(xs) -> tuple:
+        xs = list(xs)
+        rng.shuffle(xs)
+        return tuple(xs)
+
+    contexts = [
+        Context(
+            ids[c.id],
+            shuffled(amap[a] for a in c.alphabet),
+            shuffled(Rule(atoms(r.head), atoms(r.body_pos), atoms(r.body_neg)) for r in c.kb),
+            shuffled(BridgeRule(amap[b.head], atoms(b.body_pos), atoms(b.body_neg)) for b in c.br),
+            tuple(amap[a] for a in c.aux),
+        )
+        for c in m.contexts
+    ]
+    return System(tuple(shuffled(contexts))), amap

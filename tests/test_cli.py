@@ -222,6 +222,20 @@ class TestBreak:
         # original knowledge stays out of the delta
         assert "a :- not b" not in out
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    @pytest.mark.parametrize("case", ["budget-0", "no-symmetry"])
+    def test_emit_sbc_with_nothing_added_writes_nothing(self, example1_path, tmp_path, capsys, case, to_file):
+        if case == "budget-0":
+            argv = ["break", str(example1_path), "--root", "1", "--mode", "generators", "--budget", "0"]
+        else:
+            path = tmp_path / "asym.mcs"
+            path.write_text("mcs 1\ncontext 1\n  atoms a b\n  kb\n    a :- not b.\n  br\n")
+            argv = ["break", str(path), "--root", "1"]
+        out = tmp_path / "delta.txt"
+        assert main([*argv, "--emit-sbc", *(["-o", str(out)] if to_file else [])]) == 0
+        assert capsys.readouterr().out == ""
+        assert not to_file or out.read_text() == ""
+
     def test_generator_mode_budget(self, example1_path, example1, capsys):
         rc = main(
             [

@@ -16,7 +16,6 @@ from mcsym import (
     apply,
     build_pc,
     default_order,
-    distribute_pc,
     dsd,
     emit_system,
     encode_asp,
@@ -134,27 +133,20 @@ class TestPcSatisfied:
 class TestBuildPc:
     def test_two_cycles_reduce_to_their_leaders(self, example1, order, abde):
         a, b, d, e = atoms_of(example1, "a", "b", "d", "e")
-        pc = build_pc(abde, order)
-        assert pc.support_sequence == (a, d)
-        assert [(p.index, p.atom, p.image) for p in pc.positions] == [
-            (1, a, b),
-            (2, d, e),
-        ]
+        assert build_pc(abde, order) == ((a, b), (d, e))
 
     def test_single_transposition(self, example1, order):
         a, b = atoms_of(example1, "a", "b")
-        pc = build_pc(Permutation({a: b, b: a}), order)
-        assert [(p.index, p.atom, p.image) for p in pc.positions] == [(1, a, b)]
+        assert build_pc(Permutation({a: b, b: a}), order) == ((a, b),)
 
     def test_identity_has_no_positions(self, example1, order):
-        pc = build_pc(Permutation({}), order)
-        assert pc.positions == ()
-        assert distribute_pc(pc) == ()
+        assert build_pc(Permutation({}), order) == ()
 
     def test_three_cycle_keeps_all_positions(self, example1, order):
         a, b, c = atoms_of(example1, "a", "b", "c")
         pc = build_pc(Permutation({a: b, b: c, c: a}), order)
-        assert pc.support_sequence == (a, b, c)
+        assert [p.atom for p in pc] == [a, b, c]
+        assert [p.image for p in pc] == [b, c, a]
 
     def test_cross_context_move_rejected(self, example1, order):
         a, d = atoms_of(example1, "a", "d")
@@ -162,27 +154,10 @@ class TestBuildPc:
             build_pc(Permutation({a: d, d: a}), order)
 
 
-class TestDistribute:
-    def test_owners_follow_the_previous_sequence_atom(self, example1, order, abde):
-        pieces = distribute_pc(build_pc(abde, order))
-        assert [p.context_id for p in pieces] == [1, 2]
-        one, two = pieces
-        assert one.first and not one.terminator
-        assert [p.index for p in one.rule_positions] == [2]
-        assert two.terminator and not two.first
-        assert two.rule_positions == ()
-
-    def test_single_context_piece(self, example1, order):
-        a, b = atoms_of(example1, "a", "b")
-        (piece,) = distribute_pc(build_pc(Permutation({a: b, b: a}), order))
-        assert piece.first and piece.terminator
-        assert piece.rule_positions == ()
-
-
 class TestEncode:
     def test_example_additions(self, example1, order, abde):
         a, b, d, e = atoms_of(example1, "a", "b", "d", "e")
-        out = encode_asp(example1, abde, order, "t", Singletons(), {})
+        out = encode_asp(abde, order, "t", Singletons(), {})
         assert set(out) == {1, 2}
 
         c2 = Atom(1, "sbc_t_c2")
@@ -214,14 +189,14 @@ class TestEncode:
 
     def test_single_context_permutation_needs_no_bridges(self, example1, order):
         a, b = atoms_of(example1, "a", "b")
-        out = encode_asp(example1, Permutation({a: b, b: a}), order, "t", Singletons(), {})
+        out = encode_asp(Permutation({a: b, b: a}), order, "t", Singletons(), {})
         assert set(out) == {1}
         assert out[1].aux == [Atom(1, "sbc_t_c2")]
         assert out[1].kb == [rule(pos=[a], neg=[b]), rule(pos=[Atom(1, "sbc_t_c2")])]
         assert out[1].br == []
 
     def test_identity_encodes_to_nothing(self, example1, order):
-        assert encode_asp(example1, Permutation({}), order, "t", Singletons(), {}) == {}
+        assert encode_asp(Permutation({}), order, "t", Singletons(), {}) == {}
 
 
 # pi = (a b)(c d)(e f) and sigma = (g h)(c d)(e f) end in the same two positions
