@@ -20,14 +20,18 @@ gives the closure and :mod:`mcsym.detect`'s order.  Per call it numbers each
 member's original atoms as bits, so a belief set's original part is an int
 mask, and gives each member a table of its local answer sets per subset of
 its original bridge heads, filled on demand by one bit-mask kernel over its
-original kb compiled once.  The search state is one stack of iterators over
-the untried candidates of each member assigned (see
-:func:`evaluate_distributed`).  The auxiliary atoms are completed only at
-the leaves, where a whole assignment of the closure becomes a belief state:
-the members' auxiliary layer is one stratified program over context-qualified
-atoms (Apt, Blair & Walker 1988), put in order once per call, and one pass
-over it completes a leaf and reports whether an auxiliary constraint is
-violated.  Nothing the search derives outlives the call: tables, masks and
+original kb compiled once.  Like the projection of DMCS-OPT (Bairakdar et
+al. 2010), the search tells a member's answer sets apart only on its read
+mask, the bits that bridge bodies read, so it branches once per group of
+answer sets that agree there (see :func:`evaluate_distributed`); the search
+state is one stack of iterators over the untried groups of each member
+assigned.  A leaf, where the whole closure is assigned, expands into the
+product of its groups, one belief state per combination.  The auxiliary
+atoms are completed only there: the members' auxiliary layer is one
+stratified program over context-qualified atoms (Apt, Blair & Walker 1988),
+put in order once per call, and one pass over it completes each state of
+the product and reports whether an auxiliary constraint is violated.
+Nothing the search derives outlives the call: tables, masks, groups and
 programs are local to it.
 
 What the solver derives from a context is computed once, when first used, and
@@ -45,7 +49,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import asp
 from .asp import Rule, evaluate_stratified, is_answer_set
@@ -485,18 +489,29 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
     The search works on masks of each member's original atoms.  Each bridge
     rule with an original head is compiled once per call into its head's bit
     and, per body context, the member's position with a positive and a
-    negative mask.  The search state is one stack of iterators over untried
-    candidates, as long as the depth.  Entering a depth pushes its member's
-    table entry for its bridge input if all the member's imports come before
-    it (so not itself), else the union of its whole table; such a member is
-    checked by a lookup at the first depth where it and its imports are
-    assigned.  A candidate that passes its checks at the last depth is a leaf,
-    and that depth goes on; an exhausted depth is popped.  A leaf gathers the
-    members' components, ready-made in their table entries, and one pass over
-    their auxiliary program (see :func:`_aux_program`) completes the auxiliary
-    atoms; the state is kept when that violates no auxiliary constraint.  A
-    system without contexts has one equilibrium, the empty state.  A negative
-    ``bound`` is a :class:`ParseError`.
+    negative mask.  A member's read mask is the OR of the body masks compiled
+    for it, or every bit if it is checked by lookup (below), since that check
+    reads its whole mask.  No later step reads a bit outside the read masks,
+    so the answer sets of a member that agree on its read mask have the same
+    subtree: the search branches on such groups, built once per call and
+    bridge input from the member's table entry.  It assigns the member the
+    bits its group shares and sets the group's components aside for the
+    leaves.
+
+    The search state is one stack of iterators over untried groups, as long
+    as the depth.  Entering a depth pushes the groups of its member's table
+    entry for its bridge input if all the member's imports come before it (so
+    not itself), else those of the union of its whole table, one answer set
+    each; such a member is checked by a lookup at the first depth where it and
+    its imports are assigned.  A group that passes its checks at the last
+    depth is a leaf, and that depth goes on; an exhausted depth is popped.  A
+    leaf expands into the product of its groups' components, one belief state
+    each, ready-made in the table entries.  With auxiliary atoms, one pass
+    over the members' auxiliary program (see :func:`_aux_program`) completes
+    each state of the product, since that program may read atoms no bridge
+    body reads, and a state is kept when it violates no auxiliary constraint.
+    A system without contexts has one equilibrium, the empty state.  A
+    negative ``bound`` is a :class:`ParseError`.
     """
     _check_bound(bound)
     order: list[int] = []
@@ -509,6 +524,7 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
     members = [m.context(i) for i in order]
     position = {i: d for d, i in enumerate(order)}
     tables = [_LocalTable(c, bound) for c in members]
+    reads = [0] * len(order)
 
     def compile_rule(d: int, b: BridgeRule) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         masks: dict[int, list[int]] = {}
@@ -516,6 +532,7 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
             for a in atoms:
                 p = position[a.context_id]
                 masks.setdefault(p, [0, 0])[sign] |= tables[p].bit[a]
+                reads[p] |= tables[p].bit[a]
         return tables[d].bit[b.head], tuple((p, pos, neg) for p, (pos, neg) in masks.items())
 
     rules = [
@@ -523,8 +540,9 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
         for d, c in enumerate(members)
     ]
     # per depth: the union of the member's entries if it is checked by
-    # lookup, else None, and the members checked at that depth
-    pools: list[dict[int, tuple[int, frozenset[Atom]]] | None] = [None] * len(order)
+    # lookup, one answer set per group, else None, and the members checked
+    # at that depth
+    pools: list[dict[int, list[tuple[int, frozenset[Atom]]]] | None] = [None] * len(order)
     checks_at: list[list[int]] = [[] for _ in members]
     for d, c in enumerate(members):
         last = max((position[j] for j in c.imports), default=-1)
@@ -532,7 +550,7 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
             continue
         checks_at[last].append(d)
         heads = sum({bit for bit, _ in rules[d]})  # distinct single bits, so their OR
-        pools[d] = {mask: s for hs in asp._submasks(heads) for mask, s in tables[d][hs].items()}
+        pools[d] = {mask: [s] for hs in asp._submasks(heads) for mask, s in tables[d][hs].items()}
     strata = _aux_program(m, order) if any(c.aux for c in members) else None
     ids = m.ids
     slot = {i: s for s, i in enumerate(ids)}
@@ -540,23 +558,33 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
     final = len(order) - 1
     out: list[BeliefState] = []
     # entries past the current depth are stale, and no check reads them;
-    # row holds the members' components at their places in a belief state
+    # row holds each context's components, one per state of its group, at
+    # its place in a belief state
     assignment = [0] * len(order)
-    row: list[tuple[int, frozenset[Atom] | None]] = [(i, None) for i in ids]
+    row: list[Sequence[tuple[int, frozenset[Atom] | None]]] = [((i, None),) for i in ids]
+    # per depth and bridge input: the entry's components by the bits they share
+    groups: dict[tuple[int, int], dict[int, list[tuple[int, frozenset[Atom]]]]] = {}
 
-    def candidates(d: int) -> Iterator[tuple[int, tuple[int, frozenset[Atom]]]]:
-        pool = pools[d]
-        return iter((tables[d][_fired_mask(rules[d], assignment)] if pool is None else pool).items())
+    def candidates(d: int) -> Iterator[tuple[int, list[tuple[int, frozenset[Atom]]]]]:
+        got = pools[d]
+        if got is None:
+            heads = _fired_mask(rules[d], assignment)
+            got = groups.get((d, heads))
+            if got is None:
+                got = groups[d, heads] = {}
+                for mask, component in tables[d][heads].items():
+                    got.setdefault(mask & reads[d], []).append(component)
+        return iter(got.items())
 
-    # one iterator of untried candidates per depth entered, so its length is the depth
+    # one iterator of untried groups per depth entered, so its length is the depth
     untried = [candidates(0)]
     while untried:
         d = len(untried) - 1
         checks = checks_at[d]
         at = slots[d]
-        for mask, component in untried[d]:
+        for mask, components in untried[d]:
             assignment[d] = mask
-            row[at] = component
+            row[at] = components
             if checks and not all(
                 assignment[p] in tables[p][_fired_mask(rules[p], assignment)] for p in checks
             ):
@@ -566,9 +594,10 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
                 break
             # a leaf: the whole closure is assigned, and this depth goes on
             if strata is None:
-                out.append(BeliefState(tuple(row)))
-            else:
-                completed, violated = _complete_aux(strata, {i: s for i, s in row if s is not None})
+                out.extend(map(BeliefState, product(*row)))
+                continue
+            for state in product(*row):
+                completed, violated = _complete_aux(strata, {i: s for i, s in state if s is not None})
                 if not violated:
                     out.append(BeliefState(tuple((i, completed.get(i)) for i in ids)))
         else:

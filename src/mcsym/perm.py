@@ -156,7 +156,9 @@ def compose(pi: Permutation, sigma: Permutation) -> Permutation:
     Domains are united; each factor fixes atoms outside its own domain.
     """
     moved = pi.support | sigma.support
-    return Permutation({a: sigma(pi(a)) for a in moved}, domain=pi.domain | sigma.domain)
+    # a domain that holds the other's is shared, not copied
+    dom = pi.domain if sigma.domain <= pi.domain else pi.domain | sigma.domain
+    return Permutation({a: sigma(pi(a)) for a in moved}, domain=dom)
 
 
 def join(pi: Permutation, sigma: Permutation) -> Permutation | None:
@@ -230,8 +232,12 @@ def orbit_of_states(perms: Iterable[Permutation] | Permutation, state) -> frozen
     return frozenset(seen)
 
 
-# Elements one group closure may hold; past it the closure raises BoundExceeded.
-CLOSURE_CAP = 10**6
+# What one group closure may store, one per member plus one per atom each
+# member moves; past it the closure raises BoundExceeded.  The largest
+# closure in the tests, the stress instances and perfbench seeds 0-9 stores
+# 5,120; the service's reduction of the ring-16 group, of 2^16 members as
+# JOIN_CAP admits, stores over a million.
+CLOSURE_CAP = 2**21
 
 
 def group_closure(gens: Iterable[Permutation]) -> frozenset[Permutation]:
@@ -239,13 +245,16 @@ def group_closure(gens: Iterable[Permutation]) -> frozenset[Permutation]:
 
     Dimino's method: a generator new to the group built so far extends it
     by whole cosets of that group, one per new representative, so each
-    element is composed once rather than once per generator.  Raises
-    :class:`BoundExceeded` when the closure would exceed :data:`CLOSURE_CAP` elements.
+    element is composed once rather than once per generator.  The members
+    share one domain and keep only the atoms they move, so what the closure
+    stores is counted as one per member plus one per moved atom; it raises
+    :class:`BoundExceeded` as soon as that passes :data:`CLOSURE_CAP`.
     """
     gens = list(gens)
     dom = frozenset().union(*(g.domain for g in gens))
     ident = Permutation.identity(dom)
     group = {ident}
+    stored = 1  # the identity moves nothing
     used: list[Permutation] = []
     for g in (g.extend(dom) for g in gens):
         if g in group:
@@ -257,9 +266,14 @@ def group_closure(gens: Iterable[Permutation]) -> frozenset[Permutation]:
             for s in used:
                 x = compose(r, s)
                 if x not in group:
-                    if len(group) + len(sub) > CLOSURE_CAP:
-                        raise BoundExceeded(f"group closure exceeds cap of {CLOSURE_CAP}")
-                    group.update(compose(h, x) for h in sub)
+                    for h in sub:
+                        y = compose(h, x)
+                        group.add(y)
+                        stored += 1 + len(y.support)
+                        if stored > CLOSURE_CAP:
+                            raise BoundExceeded(
+                                f"group closure exceeds cap of {CLOSURE_CAP} members and moved atoms"
+                            )
                     reps.append(x)
     return frozenset(group)
 

@@ -193,6 +193,29 @@ class TestDetect:
         captured = capsys.readouterr()
         assert "exceeds cap of 100" in captured.err and captured.out == ""
 
+    def test_closure_stops_at_what_its_members_store(self, tmp_path, capsys, monkeypatch):
+        # the full rewrite gives context 1 a group of 156 generators whose
+        # members move up to 48 atoms each; the cap counts the moved atoms,
+        # so the closure stops before they pass it
+        path = tmp_path / "house9.mcs"
+        path.write_text(emit_system(generate(TopologySpec("house", 9, 3))))
+        assert main(["break", str(path), "--root", "1", "--mode", "full"]) == 0
+        path.write_text(capsys.readouterr().out)
+        moved = []
+        compose = perm.compose
+
+        def counted(pi, sigma):
+            out = compose(pi, sigma)
+            moved.append(len(out.support))
+            return out
+
+        monkeypatch.setattr(perm, "compose", counted)
+        monkeypatch.setattr(perm, "CLOSURE_CAP", 10_000)
+        assert main(["detect", str(path), "--root", "1"]) == 3
+        captured = capsys.readouterr()
+        assert "exceeds cap of 10000" in captured.err and captured.out == ""
+        assert sum(moved) < 2 * 10_000
+
     @pytest.mark.parametrize("extra", [[], ["--service"]], ids=["dsd", "service"])
     def test_unknown_root_exits_4(self, example1_path, capsys, extra):
         assert main(["detect", str(example1_path), "--root", "9", *extra]) == 4

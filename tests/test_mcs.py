@@ -23,6 +23,7 @@ from mcsym import (
     brute_force_partial_symmetries,
     default_order,
     dsd,
+    emit_cycles,
     emit_system,
     enumerate_partial_equilibria,
     evaluate_distributed,
@@ -36,13 +37,16 @@ from mcsym import (
     is_partial_symmetry,
     is_symmetry,
     join,
+    lex_leader_filter,
     parse_system,
+    project_original,
     rule,
     TopologySpec,
 )
 
 import mcsym.asp
 import mcsym.mcs
+from mcsym.bench import select_breakers
 from helpers import (
     atoms_of,
     chain_system,
@@ -53,6 +57,28 @@ from helpers import (
     state_of,
     with_random_aux_layer,
 )
+
+
+JOINT_SWAP = """mcs 2
+context 1
+  atoms x y nx ny
+  kb
+    x :- not nx.
+    nx :- not x.
+    y :- not ny.
+    ny :- not y.
+  br
+context 2
+  atoms a b c d e
+  kb
+    a :- not b.
+    b :- not a.
+    e :- a, c.
+    e :- b, d.
+  br
+    c :- (1:x).
+    d :- (1:y).
+"""
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +381,46 @@ class TestEquilibria:
             got = evaluate_distributed(m, 1)
             assert calls and len(calls) < whole
             assert got == enumerate_partial_equilibria(m, 1)
+
+    def test_search_branches_once_per_group_of_what_later_members_read(self, monkeypatch):
+        # every context carries a swap pair that no bridge reads, so each
+        # member's answer sets form one group and each depth is entered once
+        calls = []
+        fired = mcsym.mcs._fired_mask
+
+        def counted(rules, assignment):
+            calls.append(1)
+            return fired(rules, assignment)
+
+        monkeypatch.setattr(mcsym.mcs, "_fired_mask", counted)
+        for seed in (0, 2, 3):
+            m = generate(TopologySpec("diamond", 7, seed, pair_probability=1))
+            for k, states in ((1, 128), (4, 16)):
+                calls.clear()
+                got = evaluate_distributed(m, k)
+                assert len(got) == states
+                assert len(calls) <= len(import_closure(m, k))
+        # the oracle tries 2^27 candidates on root 1's closure, 2^15 on root 4's
+        assert got == enumerate_partial_equilibria(m, 4)
+
+    def test_leaves_complete_each_state_of_a_group(self):
+        # the only symmetry swaps the root's pair a/b jointly with context
+        # 1's pairs, so the first lex-leader position (1:x) is checked in
+        # context 1 and the pair's in the auxiliary layer; no bridge with an
+        # original head reads a or b, so both lie in one group of the root
+        m = parse_system(JOINT_SWAP)
+        breakers, _ = select_breakers(m, 2, "full")
+        assert [emit_cycles(p) for p in breakers] == ["(1.nx 1.ny)(1.x 1.y)(2.a 2.b)(2.c 2.d)"]
+        order = default_order(m)
+        m2 = extend_mcs(m, breakers, order)
+        a, b = atoms_of(m, "a", "b")
+        read = {x for c in m2.contexts for r in c.br if r.head in c.original for x in r.body_pos | r.body_neg}
+        aux_read = {x for c in m2.contexts for r in c.split_kb[1] for x in r.body_pos | r.body_neg}
+        assert 2 not in m.exports and {a, b} <= aux_read - read
+        before = enumerate_partial_equilibria(m, 2)
+        after = {project_original(m2, s) for s in evaluate_distributed(m2, 2)}
+        assert len(before) == 8 and len(after) == 4
+        assert after == lex_leader_filter(before, breakers, order)
 
     def test_negative_bound_rejected(self, example1):
         with pytest.raises(ParseError, match="bound"):

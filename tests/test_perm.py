@@ -228,6 +228,16 @@ class TestClosureAndGenerators:
         monkeypatch.setattr(perm_module, "CLOSURE_CAP", 1000)
         assert reduce_irredundant(swaps) == sorted(swaps, key=perm_sort_key)
 
+    def test_closure_cap_counts_the_atoms_members_move(self, monkeypatch):
+        # three disjoint swaps generate 8 members that move 24 atoms in all
+        atoms = [Atom(1, f"p{i}") for i in range(6)]
+        swaps = [perm({x: y, y: x}, atoms) for x, y in zip(atoms[::2], atoms[1::2])]
+        monkeypatch.setattr(perm_module, "CLOSURE_CAP", 32)
+        assert len(group_closure(swaps)) == 8
+        monkeypatch.setattr(perm_module, "CLOSURE_CAP", 31)
+        with pytest.raises(BoundExceeded, match="cap of 31"):
+            group_closure(swaps)
+
 
 # ---------------------------------------------------------------------------
 # properties
@@ -312,7 +322,7 @@ def test_cycle_round_trip(p):
 # that restarts after every drop
 
 
-def reference_group_closure(gens, cap=10**6):
+def reference_group_closure(gens, cap=2**21):
     gens = list(gens)
     dom = frozenset()
     for g in gens:
@@ -320,20 +330,22 @@ def reference_group_closure(gens, cap=10**6):
     aligned = [g.extend(dom) for g in gens]
     ident = Permutation.identity(dom)
     group = {ident}
+    stored = 1  # one per member plus one per atom it moves, as CLOSURE_CAP counts
     frontier = [ident]
     while frontier:
         p = frontier.pop()
         for g in aligned:
             q = compose(p, g)
             if q not in group:
-                if len(group) >= cap:
+                stored += 1 + len(q.support)
+                if stored > cap:
                     raise BoundExceeded(f"group closure exceeds cap of {cap}")
                 group.add(q)
                 frontier.append(q)
     return frozenset(group)
 
 
-def reference_reduce_irredundant(gens, cap=10**6):
+def reference_reduce_irredundant(gens, cap=2**21):
     pool = [g for g in dict.fromkeys(gens) if not g.is_identity()]
     if not pool:
         return []
