@@ -5,9 +5,13 @@ Rules have the shape ``h1 ; h2 :- b1, b2, not c1.`` with an optional head
 An answer set holds only atoms that occur in some rule head, and everything
 else is false by default.  :func:`answer_set_masks` enumerates answer sets
 over a program that :func:`compile_program` turned into int bit masks once,
-with facts as a mask: a normal program guesses just the head atoms that also
-occur in a negative body, completing each guess by a least model; a
-disjunctive one guesses sets of head atoms and checks each by minimality.
+with facts as a mask.  The compiled program also holds what the kernel reads
+on every call: the OR of its heads, the OR of its negative bodies and whether
+it is disjunctive.  A normal program guesses just the head atoms that also
+occur in a negative body, completing each guess by a least model.  A
+disjunctive program that is head-cycle-free is compiled as its shifted normal
+program, which has the same answer sets (Ben-Eliyahu & Dechter 1994); one with
+a head cycle guesses sets of head atoms and checks each by minimality.
 
 A system holds tens of thousands of rule fields, most of them empty or of one
 atom, so the builders share them: every empty field is :data:`EMPTY`, and the
@@ -25,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BoundExceeded, InternalError, ParseError
 from .perm import Atom, Permutation
@@ -292,13 +296,85 @@ def answer_sets(program: Sequence[Rule], bound: int = 20) -> frozenset[frozenset
     if len(occ) > bound:
         raise BoundExceeded(f"program has {len(occ)} occurring atoms (bound {bound})")
     atoms = sorted(occ)
-    return frozenset(atoms_of_mask(x, atoms) for x in answer_set_masks(compile_program(program, atoms)))
+    compiled = compile_program(program, {a: 1 << b for b, a in enumerate(atoms)})
+    return frozenset(atoms_of_mask(x, atoms) for x in answer_set_masks(compiled))
 
 
-def compile_program(program: Iterable[Rule], atoms: Sequence[Atom]) -> tuple[tuple[int, int, int], ...]:
-    """``program`` as ``(head, pos, neg)`` masks per rule, with ``atoms[b]`` as bit ``b``."""
-    bit = {a: 1 << b for b, a in enumerate(atoms)}.__getitem__
-    return tuple(tuple(sum(map(bit, s)) for s in (r.head, r.body_pos, r.body_neg)) for r in program)
+class Compiled(NamedTuple):
+    """A program as ``(head, pos, neg)`` masks per rule, with the masks the kernel reads.
+
+    ``heads`` is the OR of the rules' heads and ``negs`` of their negative
+    bodies; ``disjunctive`` says that a rule has two head atoms or more.
+    """
+
+    rules: tuple[tuple[int, int, int], ...]
+    heads: int
+    negs: int
+    disjunctive: bool
+
+
+def compile_program(program: Iterable[Rule], bit: Mapping[Atom, int]) -> Compiled:
+    """``program`` as masks, with ``bit[a]`` the one-bit mask of atom ``a``, in one pass.
+
+    A disjunctive program that is head-cycle-free, where no two atoms of one
+    head lie on a common cycle of the positive dependency graph, has the
+    answer sets of its shifted program, in which ``h1 ; ... ; hk :- B``
+    becomes ``hi :- B, not hj`` for each i and every j != i (Ben-Eliyahu &
+    Dechter 1994), so such a program is compiled shifted, as a normal one.
+    Facts add no edge to that graph, so the shift holds for every set of
+    facts :func:`answer_set_masks` adds.  A program with a head cycle is
+    compiled as it is.
+    """
+    get = bit.__getitem__
+    rules = []
+    heads = negs = 0
+    multi = []  # the heads of two atoms or more
+    for r in program:
+        h = sum(map(get, r.head))
+        n = sum(map(get, r.body_neg)) if r.body_neg else 0
+        rules.append((h, sum(map(get, r.body_pos)) if r.body_pos else 0, n))
+        heads |= h
+        negs |= n
+        if h & (h - 1):
+            multi.append(h)
+    if not multi or not _head_cycle_free(rules, multi):
+        return Compiled(tuple(rules), heads, negs, bool(multi))
+    shifted = []
+    for h, p, n in rules:
+        if h & (h - 1):
+            negs |= h
+            shifted += [(x, p, n | h & ~x) for x in _bits(h)]
+        else:
+            shifted.append((h, p, n))
+    return Compiled(tuple(shifted), heads, negs, False)
+
+
+def _bits(x: int) -> Iterator[int]:
+    """The one-bit masks of the bits set in ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low
+        x ^= low
+
+
+def _head_cycle_free(rules: Sequence[tuple[int, int, int]], multi: Sequence[int]) -> bool:
+    """Whether no two atoms of one head of ``multi`` lie on a common positive cycle.
+
+    The positive dependency graph has an edge from each positive body atom of
+    a rule to each of its head atoms; ``reach`` closes the edges
+    transitively, one pass per atom that has edges out (Warshall 1962).
+    """
+    reach: dict[int, int] = {}
+    for h, p, _ in rules:
+        for x in _bits(p):
+            reach[x] = reach.get(x, 0) | h
+    for k in reach:
+        for x, got in reach.items():
+            if got & k:
+                reach[x] = got | reach[k]
+    return not any(
+        reach.get(y, 0) & x for h in multi for x in _bits(h) for y in _bits(reach.get(x, 0) & h & ~x)
+    )
 
 
 def atoms_of_mask(x: int, atoms: Sequence[Atom]) -> frozenset[Atom]:
@@ -306,26 +382,27 @@ def atoms_of_mask(x: int, atoms: Sequence[Atom]) -> frozenset[Atom]:
     return frozenset(a for b, a in enumerate(atoms) if x >> b & 1)
 
 
-def answer_set_masks(program: tuple[tuple[int, int, int], ...], facts: int = 0) -> list[int]:
+def answer_set_masks(program: Compiled, facts: int = 0) -> list[int]:
     """The answer sets of a compiled ``program`` plus the atoms of ``facts`` as facts.
 
-    For a normal program (at most one head atom per rule) the reduct depends
-    only on which head atoms that also occur in a negative body are true, so
-    each guess of those (facts among them always true) is completed to the
-    least model of the reduct it selects, kept when it agrees with the guess
-    and violates no constraint (Gelfond & Lifschitz 1988).  A disjunctive
-    program guesses every set of head atoms that holds the facts, and keeps a
-    model of its reduct with no smaller model that holds them.
+    It reads the program's head and negative-body masks and its disjunctive
+    flag as :func:`compile_program` stored them.  For a normal program (at
+    most one head atom per rule, as a head-cycle-free program is after its
+    shift) the reduct depends only on which head atoms that also occur in a
+    negative body are true, so each guess of those (facts among them always
+    true) is completed to the least model of the reduct it selects, kept when
+    it agrees with the guess and violates no constraint (Gelfond & Lifschitz
+    1988).  A disjunctive program, which has a head cycle, guesses every set
+    of head atoms that holds the facts, and keeps a model of its reduct with
+    no smaller model that holds them.
     """
-    heads, negs = facts, 0
-    for h, _, n in program:
-        heads, negs = heads | h, negs | n
-    disjunctive = any(h & (h - 1) for h, _, _ in program)
+    rules, heads, negs, disjunctive = program
+    heads |= facts
     guessed = heads if disjunctive else heads & negs
     out = []
     for guess in _submasks(guessed & ~facts):
         guess |= guessed & facts
-        kept = [(h, p) for h, p, n in program if not n & guess]
+        kept = [(h, p) for h, p, n in rules if not n & guess]
         if disjunctive:
             if _models(kept, guess) and not any(
                 _models(kept, y | facts) for y in _submasks(guess & ~facts) if y | facts != guess

@@ -109,7 +109,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     parts: dict[tuple, tuple[tuple, str]] = {}
     rows = []
     for s in states:
-        comps = [parts.get(c) or parts.setdefault(c, component_parts(*c)) for c in s.components]
+        comps = [parts.get(c) or parts.setdefault(c, component_parts(*c)) for c in s]
         rows.append((tuple([key for key, _ in comps]), " ".join([text for _, text in comps])))
     rows.sort()  # no two states share a key
     sys.stdout.writelines(text + "\n" for _, text in rows)

@@ -17,16 +17,20 @@ belief state can be decided before any auxiliary atom is known.
 The distributed solver runs one backtracking search over the import closure,
 assigning contexts in depth-first post-order over import edges; the same walk
 gives the closure and :mod:`mcsym.detect`'s order.  Per call it numbers each
-member's original atoms as bits, so a belief set's original part is an int
-mask, and gives each member a table of its local answer sets per subset of
-its original bridge heads, filled on demand by one bit-mask kernel over its
-original kb compiled once.  Like the projection of DMCS-OPT (Bairakdar et
-al. 2010), the search tells a member's answer sets apart only on its read
-mask, the bits that bridge bodies read, so it branches once per group of
-answer sets that agree there (see :func:`evaluate_distributed`); the search
-state is one stack of iterators over the untried groups of each member
-assigned.  A leaf, where the whole closure is assigned, expands into the
-product of its groups, one belief state per combination.  The auxiliary
+member's original atoms as bits in declaration order, so a belief set's
+original part is an int mask, and gives each member a table of its local
+answer sets per subset of its original bridge heads, filled on demand by one
+bit-mask kernel over its original kb, compiled once in one pass together
+with the masks the kernel reads (see :func:`asp.compile_program`).  The
+bound on a member's candidate atoms is checked by gathering them only when
+its alphabet alone passes the bound.  Like the projection of DMCS-OPT
+(Bairakdar et al. 2010), the search tells a member's answer sets apart only
+on its read mask, the bits that bridge bodies read, so it branches once per
+group of answer sets that agree there (see :func:`evaluate_distributed`);
+the search state is one stack of iterators over the untried groups of each
+member assigned.  A leaf, where the whole closure is assigned, expands into
+the product of its groups, one belief state per combination, each a tuple of
+its components (see :class:`BeliefState`).  The auxiliary
 atoms are completed only there: the members' auxiliary layer is one
 stratified program over context-qualified atoms (Apt, Blair & Walker 1988),
 put in order once per call, and one pass over it completes each state of
@@ -213,11 +217,31 @@ class System:
 # belief states
 
 
-@dataclass(frozen=True, slots=True)
-class BeliefState:
-    """One belief set (or ``eps``) per context, keyed by context id."""
+class BeliefState(tuple):
+    """One belief set (or ``eps``) per context, keyed by context id.
 
-    components: tuple[tuple[int, frozenset[Atom] | None], ...]
+    A tuple whose items are the components ``(context id, set or None)``, in
+    id order, so building a state from a tuple of components and hashing it
+    are C-level tuple operations.  Equality stays strict: a state equals only
+    a state, never a plain tuple with the same items.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __repr__(self) -> str:
+        return f"BeliefState(components={tuple(self)!r})"
+
+    @property
+    def components(self) -> tuple[tuple[int, frozenset[Atom] | None], ...]:
+        """The components as a plain tuple."""
+        return tuple(self)
 
     @classmethod
     def make(cls, mapping: Mapping[int, Iterable[Atom] | None]) -> "BeliefState":
@@ -225,27 +249,25 @@ class BeliefState:
         for i in sorted(mapping):
             v = mapping[i]
             comps.append((i, None if v is None else frozenset(v)))
-        return cls(tuple(comps))
+        return cls(comps)
 
     def get(self, i: int) -> frozenset[Atom] | None:
-        for j, v in self.components:
+        for j, v in self:
             if j == i:
                 return v
         raise InternalError(f"belief state has no component for context {i}")
 
     def defined_ids(self) -> frozenset[int]:
-        return frozenset(i for i, v in self.components if v is not None)
+        return frozenset(i for i, v in self if v is not None)
 
     def _apply_perm(self, pi: Permutation) -> "BeliefState":
-        return BeliefState(
-            tuple((i, None if v is None else frozenset(pi(a) for a in v)) for i, v in self.components)
-        )
+        return BeliefState((i, None if v is None else frozenset(pi(a) for a in v)) for i, v in self)
 
     def sort_key(self) -> tuple:
-        return tuple([component_parts(*c)[0] for c in self.components])
+        return tuple([component_parts(*c)[0] for c in self])
 
     def __str__(self) -> str:
-        return " ".join([component_parts(*c)[1] for c in self.components])
+        return " ".join([component_parts(*c)[1] for c in self])
 
 
 def component_parts(i: int, v: frozenset[Atom] | None) -> tuple[tuple, str]:
@@ -432,22 +454,26 @@ def enumerate_partial_equilibria(
 class _LocalTable(dict):
     """A member's local answer sets per bridge input, each computed when first read.
 
-    ``atoms[b]``, of the context's sorted original atoms, is bit ``b`` of a
-    mask, and ``program`` is the original kb compiled over them.  A key is the
-    mask of a set of original bridge heads; its entry maps the mask of each
-    answer set of the original kb plus those heads (by
-    :func:`asp.answer_set_masks`) to its ``(context id, set)``, so a belief
-    set's original part is acceptable under bridge input ``heads`` exactly
-    when its mask is in ``table[mask of heads & ctx.original]``.  ``bound``
-    is checked on the candidate atoms, which hold every entry's atoms.
+    ``atoms[b]``, of the context's original atoms in declaration order, is
+    bit ``b`` of a mask, and ``program`` is the original kb compiled over
+    them, with the masks :func:`asp.answer_set_masks` reads (see
+    :func:`asp.compile_program`).  A key is the mask of a set of original
+    bridge heads; its entry maps the mask of each answer set of the original
+    kb plus those heads to its ``(context id, set)``, so a belief set's
+    original part is acceptable under bridge input ``heads`` exactly when its
+    mask is in ``table[mask of heads & ctx.original]``.  ``bound`` is checked
+    on the candidate atoms, which hold every entry's atoms; they are a subset
+    of the alphabet, so they are gathered only when the alphabet is larger
+    than ``bound``.
     """
 
     def __init__(self, ctx: Context, bound: int) -> None:
         super().__init__()
-        _candidate_atoms(ctx, bound)  # raises past the bound
-        self.id, self.atoms = ctx.id, sorted(ctx.original)
+        if len(ctx.alphabet) > bound:
+            _candidate_atoms(ctx, bound)  # raises past the bound
+        self.id, self.atoms = ctx.id, ctx.alphabet
         self.bit = {a: 1 << b for b, a in enumerate(self.atoms)}
-        self.program = asp.compile_program(ctx.split_kb[0], self.atoms)
+        self.program = asp.compile_program(ctx.split_kb[0], self.bit)
 
     def __missing__(self, heads: int) -> dict[int, tuple[int, frozenset[Atom]]]:
         entry = self[heads] = {
@@ -599,7 +625,7 @@ def evaluate_distributed(m: System, k: int | None, bound: int = 20) -> frozenset
             for state in product(*row):
                 completed, violated = _complete_aux(strata, {i: s for i, s in state if s is not None})
                 if not violated:
-                    out.append(BeliefState(tuple((i, completed.get(i)) for i in ids)))
+                    out.append(BeliefState((i, completed.get(i)) for i in ids))
         else:
             untried.pop()
     return frozenset(out)

@@ -135,18 +135,19 @@ class Permutation:
 def apply(pi: Permutation, obj):
     """Apply ``pi`` to an atom or, structurally, to a compound value.
 
-    Sets and tuples map elementwise (preserving their type); an atom is a
-    tuple too, so it is matched first.  Other objects may opt in by providing
-    ``_apply_perm``.  Atoms outside the domain are fixed.
+    Sets and tuples map elementwise (preserving their type).  An atom is a
+    tuple too, so it is matched first; then an object that opts in by
+    providing ``_apply_perm``, such as a belief state, which is a tuple of
+    its components.  Atoms outside the domain are fixed.
     """
     if isinstance(obj, Atom):
         return pi(obj)
+    if hasattr(obj, "_apply_perm"):
+        return obj._apply_perm(pi)
     if isinstance(obj, (frozenset, set)):
         return type(obj)(apply(pi, x) for x in obj)
     if isinstance(obj, tuple):
         return tuple(apply(pi, x) for x in obj)
-    if hasattr(obj, "_apply_perm"):
-        return obj._apply_perm(pi)
     raise InternalError(f"cannot apply a permutation to {type(obj).__name__}")
 
 

@@ -271,7 +271,7 @@ def extend_mcs(
 def project_original(m: System, state: BeliefState) -> BeliefState:
     """Drop auxiliary atoms from every defined component."""
     comps: dict[int, frozenset[Atom] | None] = {}
-    for i, v in state.components:
+    for i, v in state:
         if v is None:
             comps[i] = None
         else:

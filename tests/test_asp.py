@@ -149,6 +149,17 @@ class TestAnswerSets:
         assert answer_sets(prog) == frozenset({frozenset({a}), frozenset({b})})
         assert not is_answer_set(prog, frozenset({a, b}))
 
+    def test_head_cycle_is_not_shifted(self):
+        # a and b lie on one positive cycle, so the program is not
+        # head-cycle-free: its one answer set is {a, b}, while the shifted
+        # program (a :- not b.  b :- not a.  a :- b.  b :- a.) has none
+        prog = (rule(head=[a, b]), rule(head=[a], pos=[b]), rule(head=[b], pos=[a]))
+        assert answer_sets(prog) == frozenset({frozenset({a, b})})
+        shifted = (rule(head=[a], neg=[b]), rule(head=[b], neg=[a]), *prog[1:])
+        assert answer_sets(shifted) == frozenset()
+        table = _LocalTable(Context(1, ALPHA1, prog, ()), bound=3)
+        assert table[0] == {table.bit[a] | table.bit[b]: (1, frozenset({a, b}))}
+
     def test_constraint_prunes(self):
         prog = (rule(head=[a, b]), rule(pos=[a]))
         assert answer_sets(prog) == frozenset({frozenset({b})})
@@ -328,7 +339,7 @@ def test_compiled_table_entries_agree_with_naive_oracle(case):
     q = Atom(2, "q")
     ctx = Context(1, ATOMS6, bottom, tuple(BridgeRule(h, frozenset({q}), frozenset()) for h in heads))
     table = _LocalTable(ctx, bound=len(ATOMS6))
-    bit = {x: 1 << i for i, x in enumerate(sorted(ATOMS6))}
+    bit = {x: 1 << i for i, x in enumerate(ctx.alphabet)}
     for hs in chain.from_iterable(combinations(heads, r) for r in range(len(heads) + 1)):
         expected = naive_answer_sets([*bottom, *(rule(head=[h]) for h in hs)])
         assert table[sum(bit[h] for h in hs)] == {sum(bit[x] for x in s): (1, s) for s in expected}

@@ -362,6 +362,22 @@ class TestEquilibria:
         with pytest.raises(BoundExceeded):
             evaluate_distributed(m, 1, bound=2)
 
+    def test_bound_is_checked_on_occurring_atoms_not_the_alphabet(self):
+        # the root declares five atoms but its rules name only a and b, so it
+        # is within a bound of 2 that its alphabet passes
+        a, b, c, d, e = (Atom(1, x) for x in "abcde")
+        q, r = Atom(2, "q"), Atom(2, "r")
+        root = Context(
+            1,
+            (c, a, d, b, e),
+            (rule(head=[a], neg=[b]), rule(head=[b], neg=[a])),
+            (BridgeRule(b, frozenset({q}), frozenset()),),
+        )
+        m = System((root, Context(2, (q, r), (rule(head=[q], neg=[r]), rule(head=[r], neg=[q])), ())))
+        got = evaluate_distributed(m, 1, bound=2)
+        assert len(got) == 3 and got == enumerate_partial_equilibria(m, 1, bound=2)
+        assert evaluate_distributed(m, None, bound=2) == got
+
     def test_tables_build_only_the_entries_the_search_reads(self, monkeypatch):
         calls = []
         kernel = mcsym.asp.answer_set_masks
@@ -589,6 +605,31 @@ class TestBeliefState:
         abde = Permutation({a: b, b: a, d: e, e: d})
         s = state_of(example1, {1: {"a"}, 2: {"e"}})
         assert apply(abde, s) == state_of(example1, {1: {"b"}, 2: {"d"}})
+
+    def test_apply_asks_the_state_before_mapping_it_as_a_tuple(self, example1):
+        a, b, d, e = atoms_of(example1, "a", "b", "d", "e")
+        abde = Permutation({a: b, b: a, d: e, e: d})
+        s = state_of(example1, {1: {"a", "d"}, 2: {"e"}})
+        t = apply(abde, s)
+        assert type(t) is BeliefState and t == s._apply_perm(abde)
+
+    def test_a_state_never_equals_a_plain_tuple(self, example1):
+        s = state_of(example1, {1: {"b"}, 2: {"d"}})
+        c = s.components
+        assert type(c) is tuple and tuple(s) == c
+        assert BeliefState(c) != c and c != BeliefState(c) and not BeliefState(c) == c
+        assert BeliefState(c) == s and not BeliefState(c) != s
+        assert s not in {c} and c not in {s}
+
+    def test_equal_states_hash_equally(self, example1):
+        s = state_of(example1, {1: {"b"}, 2: {"d"}})
+        t = BeliefState.make({3: None, 2: {Atom(2, "d")}, 1: [Atom(1, "b")]})
+        assert s == t and s is not t and hash(s) == hash(t)
+        assert len({s, t, BeliefState(s.components)}) == 1
+
+    def test_repr_names_the_components(self):
+        s = BeliefState.make({2: None, 1: []})
+        assert repr(s) == "BeliefState(components=((1, frozenset()), (2, None)))"
 
 
 class TestFileFormat:

@@ -1,9 +1,11 @@
 """Relabelling invariance: new context ids, atom names and declaration orders change no result.
 
 Each system is compared with a copy from :func:`helpers.relabel`: detection
-gives the conjugate set, solving gives the image of the solutions, and the
-counts a rewrite reaches stay the same, though the copy's atom order, and
-so its lex-leaders, differ.
+gives the conjugate set, solving from every root and over the whole system
+gives the image of the solutions, and the counts a rewrite reaches stay the
+same, though the copy's atom order, and so its lex-leaders, differ.  The
+copy also declares each alphabet in a shuffled order, which the solver
+numbers its bits by.
 """
 
 from __future__ import annotations
@@ -29,13 +31,15 @@ def image(s: BeliefState, amap, ids) -> BeliefState:
 
 
 def check_invariance(m, root: int, rng: random.Random) -> int:
-    """Check ``m`` against a relabelled copy from ``root``; return the order of the group detected."""
+    """Check ``m`` against a relabelled copy; return the order of the group detected from ``root``."""
     m2, amap = relabel(m, rng)
     ids = {a.context_id: b.context_id for a, b in amap.items()}
     root2 = ids[root]
     group = dsd(m, root)
     assert dsd(m2, root2) == {conjugate(p, amap) for p in group}
-    assert evaluate_distributed(m2, root2) == {image(s, amap, ids) for s in evaluate_distributed(m, root)}
+    for k in (*m.ids, None):  # solving from every root, and over the whole system
+        k2 = None if k is None else ids[k]
+        assert evaluate_distributed(m2, k2) == {image(s, amap, ids) for s in evaluate_distributed(m, k)}
     assert run_pipeline(m2, root2, "full").after == run_pipeline(m, root, "full").after
     assert select_breakers(m2, root2, "generators")[1] == select_breakers(m, root, "generators")[1]
     return len(group)
